@@ -21,17 +21,16 @@ from typing import Callable, Protocol
 import requests
 
 from .cache import ResponseCache
-from .errors import AuthError, ReplayMiss, ScriptExhausted, ScriptMismatch, TransportError
+from .errors import AuthError, ConfigError, ReplayMiss, ScriptExhausted, ScriptMismatch, TransportError
 from .throttle import RateLimiter
+from .types import SessionConfig
 
 DEFAULT_MAX_ATTEMPTS = 4
 DEFAULT_TIMEOUT = 120.0
 _BACKOFF_BASE = 0.5
 _BACKOFF_CAP = 30.0
 
-ENV_API_KEY = "SUMMIT_API_KEY"
-ENV_BASE_URL = "SUMMIT_BASE_URL"
-ENV_MODEL = "SUMMIT_MODEL"
+BACKEND_MODES = ("live", "replay", "scripted")
 
 
 class Role(enum.Enum):
@@ -339,3 +338,56 @@ def _response_from_record(record: dict) -> CompletionResponse:
         ),
         served_from=ServedFrom.CACHE,
     )
+
+
+# --- construction -------------------------------------------------------------
+
+
+@dataclass
+class BackendSettings:
+    """Where completions come from. ``model`` is the model id sessions
+    request; every source of backend settings can set it."""
+
+    mode: str = "live"
+    script: Path | None = None
+    cache: Path | None = None
+    base_url: str | None = None
+    api_key: str = ""
+    model: str = SessionConfig.model_id
+    rpm: int | None = None
+    timeout: float = DEFAULT_TIMEOUT
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
+
+    def __post_init__(self):
+        if self.mode not in BACKEND_MODES:
+            raise ConfigError(f"backend mode must be one of {BACKEND_MODES}")
+        if self.mode == "scripted" and self.script is None:
+            raise ConfigError("scripted mode requires a script path")
+        if self.mode == "replay" and self.cache is None:
+            raise ConfigError("replay mode requires a cache path")
+
+
+def backend_factory(settings: BackendSettings) -> Callable[[], CompletionBackend]:
+    """A function giving each session its backend: a fresh cursor per
+    scripted session (scripts are positional), one shared live or replay one."""
+    cache = ResponseCache(settings.cache) if settings.cache else None
+    if settings.mode == "scripted":
+        steps = load_script(settings.script)
+        if cache is None:
+            return lambda: ScriptedBackend(steps)
+        return lambda: CachedBackend(ScriptedBackend(steps), cache)
+    if settings.mode == "replay":
+        shared: CompletionBackend = ReplayBackend(cache)
+    else:
+        if not settings.base_url:
+            raise ConfigError("live mode requires a base URL (--base-url, backend.base_url or SUMMIT_BASE_URL)")
+        shared = HttpBackend(
+            settings.base_url,
+            api_key=settings.api_key,
+            max_attempts=settings.max_attempts,
+            timeout=settings.timeout,
+            limiter=RateLimiter(settings.rpm) if settings.rpm else None,
+        )
+        if cache is not None:
+            shared = CachedBackend(shared, cache)
+    return lambda: shared

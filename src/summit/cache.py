@@ -53,23 +53,19 @@ class ResponseCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
     def get(self, key: str) -> dict | None:
         with self._lock:
             return self._entries.get(key)
 
     def put(self, key: str, request_summary: dict, response: dict) -> None:
         with self._lock:
-            is_new_file = self.path is not None and not self.path.exists()
             self._entries[key] = response
             if self.path is None:
                 return
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as fh:
-                if is_new_file:
+                # Append mode starts at the end: position 0 means a new or empty file.
+                if fh.tell() == 0:
                     fh.write(json.dumps({"schema": CACHE_SCHEMA, "version": CACHE_VERSION}) + "\n")
                 fh.write(
                     json.dumps(

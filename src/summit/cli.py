@@ -16,14 +16,7 @@ from pathlib import Path
 import click
 
 from ._version import __version__
-from .backend import (
-    CachedBackend,
-    HttpBackend,
-    ReplayBackend,
-    ScriptedBackend,
-    load_script,
-)
-from .cache import ResponseCache
+from .backend import BACKEND_MODES, BackendSettings
 from .config import load_config_file, resolve_backend_settings
 from .corpus import convert_corpus
 from .errors import (
@@ -36,12 +29,10 @@ from .errors import (
     SchemaViolation,
     SummitError,
 )
-from .experiment import RunManifest, estimate_calls, load_exemplars, run_experiment
-from .knowledge import FallbackExtractor, RemoteExtractor
-from .prompting import DEFAULT_SHOTS, PromptRegistry
+from .experiment import RunManifest, build_parts, estimate_calls, run_experiment
+from .prompting import DEFAULT_SHOTS
 from .report import build_rows, format_table, write_csv
 from .session import run_session
-from .throttle import RateLimiter
 from .trace_io import write_trace
 from .types import Decoding, Document, SessionConfig, Setting
 
@@ -81,40 +72,15 @@ def main():
     """Iterative summarization engine and evaluation harness."""
 
 
-def _build_cli_backend(mode, settings, script):
-    cache = ResponseCache(settings.cache) if settings.cache else None
-    if mode == "scripted":
-        if not script:
-            raise ConfigError("--backend scripted requires --script")
-        backend = ScriptedBackend(load_script(script))
-        return CachedBackend(backend, cache) if cache else backend
-    if mode == "replay":
-        if cache is None:
-            raise ConfigError("--backend replay requires a cache (--cache or config)")
-        return ReplayBackend(cache)
-    if not settings.base_url:
-        raise ConfigError(
-            "live backend requires a base URL (--base-url, SUMMIT_BASE_URL, or config)"
-        )
-    backend = HttpBackend(
-        settings.base_url,
-        api_key=settings.api_key,
-        max_attempts=settings.max_attempts,
-        timeout=settings.timeout,
-        limiter=RateLimiter(settings.rpm) if settings.rpm else None,
-    )
-    return CachedBackend(backend, cache) if cache else backend
-
-
 @main.command()
 @click.option("--doc", type=click.Path(exists=True, dir_okay=False), help="Document file (default: stdin).")
 @click.option("--doc-id", default="stdin", help="Identifier recorded in the trace.")
-@click.option("--setting", type=click.Choice([s.value for s in Setting]), default="quality", show_default=True)
+@click.option("--setting", type=click.Choice([s.value for s in Setting]), default=SessionConfig.setting.value, show_default=True)
 @click.option("--topic", default=None, help="Topic query (required for --setting control).")
-@click.option("--max-iters", type=int, default=5, show_default=True)
+@click.option("--max-iters", type=int, default=SessionConfig.max_iterations, show_default=True)
 @click.option("--model", default=None, help="Model id (default: SUMMIT_MODEL or config).")
 @click.option("--trace-out", type=click.Path(dir_okay=False), default=None, help="Write the session trace here.")
-@click.option("--backend", "backend_mode", type=click.Choice(["live", "scripted", "replay"]), default="live", show_default=True)
+@click.option("--backend", "backend_mode", type=click.Choice(BACKEND_MODES), default=BackendSettings.mode, show_default=True)
 @click.option("--script", type=click.Path(exists=True, dir_okay=False), default=None, help="Script file for --backend scripted.")
 @click.option("--cache", default=None, help="Response cache file.")
 @click.option("--base-url", default=None, help="Chat-completions base URL.")
@@ -122,9 +88,9 @@ def _build_cli_backend(mode, settings, script):
 @click.option("--exemplars", type=click.Path(exists=True, dir_okay=False), default=None, help="JSONL exemplar file for few-shot prompts.")
 @click.option("--shots", type=int, default=DEFAULT_SHOTS, show_default=True)
 @click.option("--prompts-dir", type=click.Path(exists=True, file_okay=False), default=None, help="Override the packaged prompt templates.")
-@click.option("--temperature", type=float, default=0.0, show_default=True)
-@click.option("--max-output-tokens", type=int, default=512, show_default=True)
-@click.option("--stop-marker", default="<STOP>", show_default=True)
+@click.option("--temperature", type=float, default=Decoding.temperature, show_default=True)
+@click.option("--max-output-tokens", type=int, default=Decoding.max_output_tokens, show_default=True)
+@click.option("--stop-marker", default=SessionConfig.stop_marker, show_default=True)
 @click.option("--strict", is_flag=True, help="Raise on unparseable evaluator output.")
 @click.option("--token-budget", type=int, default=None, help="Abort the session past this many tokens.")
 @click.option("--knowledge-endpoint", default=None, help="Remote triplet extractor for --setting faithfulness.")
@@ -141,24 +107,26 @@ def summarize(
     if not text.strip():
         raise ConfigError("document is empty")
     file_config = load_config_file(config_path)
-    settings = resolve_backend_settings(file_config, base_url=base_url, model=model, cache=cache)
+    settings = resolve_backend_settings(
+        file_config, mode=backend_mode, script=script, cache=cache, base_url=base_url, model=model
+    )
+    endpoint = knowledge_endpoint or (file_config.get("knowledge") or {}).get("endpoint")
+    prompts, exemplar_list, factory, extractor = build_parts(
+        settings, prompts_dir, exemplars, shots, endpoint
+    )
     config = SessionConfig(
         model_id=settings.model,
         setting=Setting(setting),
         max_iterations=max_iters,
         topic_query=topic,
-        exemplars=load_exemplars(exemplars, shots) if exemplars else [],
+        exemplars=exemplar_list,
         decoding=Decoding(temperature=temperature, max_output_tokens=max_output_tokens),
         stop_marker=stop_marker,
         strict_parsing=strict,
         token_budget=token_budget,
     )
-    backend = _build_cli_backend(backend_mode, settings, script)
-    prompts = PromptRegistry.load(prompts_dir)
     document = Document(id=doc_id if doc is None else Path(doc).stem, text=text)
-    endpoint = knowledge_endpoint or (file_config.get("knowledge") or {}).get("endpoint")
-    extractor = FallbackExtractor(RemoteExtractor(endpoint)) if endpoint else None
-    trace = run_session(document, config, backend, prompts, extractor)
+    trace = run_session(document, config, factory(), prompts, extractor)
     if trace_out:
         write_trace(trace, trace_out)
         click.echo(f"trace written to {trace_out}", err=True)
@@ -190,7 +158,7 @@ def _finish_experiment(result):
 
 @main.command("run-exp")
 @click.argument("manifest_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--mode", type=click.Choice(["live", "replay", "scripted"]), default=None, help="Override the manifest's backend mode.")
+@click.option("--mode", type=click.Choice(BACKEND_MODES), default=None, help="Override the manifest's backend mode.")
 @click.option("--out", default=None, help="Override the manifest's output directory.")
 @click.option("--workers", type=int, default=None, help="Override the manifest's worker count.")
 @click.option("--yes", is_flag=True, help="Confirm a live run after reviewing its estimate.")

@@ -1,25 +1,35 @@
-"""Operator configuration with flags > environment > config file precedence.
+"""Backend settings resolved from an ordered list of sources.
 
-The config file is YAML with nested sections (backend, knowledge,
-faithfulness, run); environment variables SUMMIT_API_KEY, SUMMIT_BASE_URL,
-and SUMMIT_MODEL cover the live-backend essentials.
+``summarize``: flags > environment > config file > default. ``run-exp`` and
+``replay``: flags > manifest > environment > default, since a manifest pins
+a reproducible run. Defaults are the ``BackendSettings`` field defaults. The
+config file is YAML with nested sections (backend, knowledge).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
-from dataclasses import dataclass
+import types
+import typing
 from pathlib import Path
+from typing import Mapping
 
-import yaml
-
-from .backend import ENV_API_KEY, ENV_BASE_URL, ENV_MODEL
+from .backend import BackendSettings
 from .errors import ConfigError
+
+#: The environment variable that gives each backend setting.
+ENV_VARS = {"api_key": "SUMMIT_API_KEY", "base_url": "SUMMIT_BASE_URL", "model": "SUMMIT_MODEL"}
+
+#: The backend keys a config file may set.
+FILE_KEYS = ("base_url", "model", "rpm", "timeout", "max_attempts", "cache")
 
 
 def load_config_file(path: str | Path | None) -> dict:
     if path is None:
         return {}
+    import yaml  # here, so that run-exp does not pay for importing it
+
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -32,43 +42,46 @@ def load_config_file(path: str | Path | None) -> dict:
     return data
 
 
-def _pick(*candidates):
-    """First candidate that is not None."""
-    for value in candidates:
-        if value is not None:
-            return value
-    return None
+def is_set(value) -> bool:
+    """Whether a source sets a value: None and the empty string set nothing."""
+    return value is not None and value != ""
 
 
-@dataclass
-class BackendSettings:
-    base_url: str | None
-    api_key: str
-    model: str
-    rpm: int | None
-    timeout: float
-    max_attempts: int
-    cache: Path | None
+def coerce(hint, value, base: Path | None = None):
+    """``value`` converted to the annotated type ``hint``.
+
+    ``X | None`` converts to ``X``; a relative path resolves against
+    ``base`` when one is given; a nested dataclass is built from a dict.
+    """
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    if hint is Path:
+        return (base / value).resolve() if base is not None else Path(value)
+    if dataclasses.is_dataclass(hint):
+        return hint(**params_of(hint, value, base))
+    return hint(value)
 
 
-def resolve_backend_settings(
-    file_config: dict,
-    *,
-    base_url: str | None = None,
-    model: str | None = None,
-    rpm: int | None = None,
-    timeout: float | None = None,
-    max_attempts: int | None = None,
-    cache: str | None = None,
-) -> BackendSettings:
+def params_of(cls, data: dict, base: Path | None = None) -> dict:
+    """Keyword arguments for dataclass ``cls`` from the keys of ``data`` it has fields for."""
+    hints = typing.get_type_hints(cls)
+    return {k: coerce(hints[k], v, base) for k, v in data.items() if k in hints and is_set(v)}
+
+
+def environment() -> dict:
+    """The backend settings the SUMMIT_* environment variables give."""
+    return {name: os.environ.get(var) for name, var in ENV_VARS.items()}
+
+
+def resolve_settings(*sources: Mapping) -> BackendSettings:
+    """Each field from the first source that sets it, else its default."""
+    values = {}
+    for source in reversed(sources):
+        values.update(params_of(BackendSettings, source))
+    return BackendSettings(**values)
+
+
+def resolve_backend_settings(file_config: dict, **flags) -> BackendSettings:
+    """The summarize order: flags > environment > config file > default."""
     section = file_config.get("backend") or {}
-    resolved_cache = _pick(cache, section.get("cache"))
-    return BackendSettings(
-        base_url=_pick(base_url, os.environ.get(ENV_BASE_URL), section.get("base_url")),
-        api_key=os.environ.get(ENV_API_KEY, ""),
-        model=_pick(model, os.environ.get(ENV_MODEL), section.get("model"), "default"),
-        rpm=_pick(rpm, section.get("rpm")),
-        timeout=float(_pick(timeout, section.get("timeout"), 120.0)),
-        max_attempts=int(_pick(max_attempts, section.get("max_attempts"), 4)),
-        cache=Path(resolved_cache) if resolved_cache else None,
-    )
+    return resolve_settings(flags, environment(), {key: section.get(key) for key in FILE_KEYS})

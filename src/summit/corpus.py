@@ -43,7 +43,7 @@ class DatasetRecord:
 class SampleSpec:
     n: int
     seed: int
-    split: Split
+    split: Split = Split.TEST
 
     def __post_init__(self):
         if self.n < 1:

@@ -9,29 +9,22 @@ run is byte-comparable against the original.
 
 from __future__ import annotations
 
+import enum
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 from ._version import __version__
-from .backend import (
-    CachedBackend,
-    CompletionBackend,
-    HttpBackend,
-    ReplayBackend,
-    ScriptedBackend,
-    load_script,
-)
-from .cache import ResponseCache
+from .backend import BackendSettings, CompletionBackend, backend_factory
+from .config import coerce, environment, is_set, params_of, resolve_settings
 from .corpus import CorpusSchema, DatasetRecord, SampleSpec, Split, load_corpus, sample
 from .errors import ConfigError, SummitError
-from .knowledge import FallbackExtractor, RemoteExtractor, TripletExtractor
+from .knowledge import TripletExtractor, build_extractor
 from .metrics import FaithfulnessScorer, aggregate, rouge_l_multi, rouge_n_multi, topic_similarity
 from .prompting import DEFAULT_SHOTS, PromptRegistry
 from .session import run_session
-from .throttle import RateLimiter
 from .trace_io import write_trace
 from .types import Decoding, Document, Exemplar, SessionConfig, SessionTrace, Setting
 
@@ -41,49 +34,54 @@ STATS_SCHEMA = "summit/stats"
 STATS_VERSION = 1
 CALLS_SCHEMA = "summit/calls"
 
-DEFAULT_WORKERS = 4
 
-BACKEND_MODES = ("live", "replay", "scripted")
+def _at(key: str, default=MISSING, secret: bool = False):
+    """A RunManifest field stored at ``key`` in the manifest JSON: either
+    "section.name" or a top-level name. A secret is read but never written."""
+    section, _, name = key.rpartition(".")
+    return field(default=default, metadata={"section": section, "key": name, "secret": secret})
+
+
+#: The SessionConfig fields a manifest's session section holds, beside the
+#: Decoding fields flattened into it (exemplars come from exemplars_path).
+_CONFIG_FIELDS = [f for f in fields(SessionConfig) if f.name not in ("exemplars", "decoding")]
 
 
 @dataclass
 class RunManifest:
-    """A run description; ``session_params`` is a template from which one
-    SessionConfig per document is built (control runs resolve the topic from
-    each record unless the manifest pins one)."""
+    """A run description. ``session_params`` holds SessionConfig keyword
+    arguments for one SessionConfig per document (control runs take the
+    topic from each record unless the manifest pins one). Each field names
+    its place in the manifest JSON; its type and default give the rest.
+    """
 
-    name: str
-    corpus_path: Path
-    corpus_schema: CorpusSchema
-    sample: SampleSpec
-    session_params: dict
-    output_dir: Path
-    backend_mode: str = "live"
-    script_path: Path | None = None
-    base_url: str | None = None
-    api_key: str = ""
-    cache_path: Path | None = None
-    rpm: int | None = None
-    timeout: float = 120.0
-    max_attempts: int = 4
-    workers: int = DEFAULT_WORKERS
-    topic_index: int = 0
-    exemplars_path: Path | None = None
-    shots: int = DEFAULT_SHOTS
-    knowledge_endpoint: str | None = None
-    knowledge_fallback: bool = True
-    faithfulness_endpoint: str | None = None
-    prompts_dir: Path | None = None
+    name: str = _at("name")
+    corpus_path: Path = _at("corpus.path")
+    sample: SampleSpec = _at("sample")
+    session_params: dict = _at("session")
+    output_dir: Path = _at("output_dir")
+    corpus_schema: CorpusSchema = _at("corpus.schema", CorpusSchema.GENERIC)
+    backend_mode: str = _at("backend.mode", BackendSettings.mode)
+    script_path: Path | None = _at("backend.script", None)
+    base_url: str | None = _at("backend.base_url", None)
+    api_key: str = _at("backend.api_key", BackendSettings.api_key, secret=True)
+    cache_path: Path | None = _at("backend.cache", None)
+    rpm: int | None = _at("backend.rpm", None)
+    timeout: float = _at("backend.timeout", BackendSettings.timeout)
+    max_attempts: int = _at("backend.max_attempts", BackendSettings.max_attempts)
+    workers: int = _at("workers", 4)
+    topic_index: int = _at("session.topic_index", 0)
+    exemplars_path: Path | None = _at("session.exemplars_path", None)
+    shots: int = _at("session.shots", DEFAULT_SHOTS)
+    knowledge_endpoint: str | None = _at("knowledge.endpoint", None)
+    knowledge_fallback: bool = _at("knowledge.fallback_to_naive", True)
+    faithfulness_endpoint: str | None = _at("faithfulness.endpoint", None)
+    prompts_dir: Path | None = _at("prompts.dir", None)
 
     def __post_init__(self):
-        if self.backend_mode not in BACKEND_MODES:
-            raise ConfigError(f"backend mode must be one of {BACKEND_MODES}")
-        if self.backend_mode == "scripted" and self.script_path is None:
-            raise ConfigError("scripted mode requires a script path")
-        if self.backend_mode == "replay" and self.cache_path is None:
-            raise ConfigError("replay mode requires a cache path")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        resolve_settings(self._backend_values())  # validates the mode and what it needs
         # Validate the non-topic template knobs early; control runs may defer
         # the topic itself to per-record data.
         try:
@@ -91,23 +89,42 @@ class RunManifest:
         except ConfigError as exc:
             raise ConfigError(f"invalid session template: {exc}") from exc
 
+    def _param(self, name: str):
+        return self.session_params.get(name, getattr(SessionConfig, name))
+
     @property
     def setting(self) -> Setting:
-        return self.session_params.get("setting", Setting.QUALITY)
+        return self._param("setting")
 
     @property
     def topic_query(self) -> str | None:
-        return self.session_params.get("topic_query")
+        return self._param("topic_query")
 
     @property
     def max_iterations(self) -> int:
-        return self.session_params.get("max_iterations", 5)
+        return self._param("max_iterations")
 
-    def session_for(self, topic: str | None = None) -> SessionConfig:
+    def session_for(self, topic: str | None = None, exemplars: list[Exemplar] | None = None) -> SessionConfig:
         params = dict(self.session_params)
         if topic is not None and not params.get("topic_query"):
             params["topic_query"] = topic
+        if exemplars:
+            params["exemplars"] = exemplars
         return SessionConfig(**params)
+
+    def _backend_values(self) -> dict:
+        """The backend settings this manifest sets, by BackendSettings field name."""
+        values = {f.metadata["key"]: getattr(self, f.name) for f in _BACKEND_FIELDS}
+        values["model"] = self.session_params.get("model_id")
+        return values
+
+    def resolved(self) -> tuple["RunManifest", BackendSettings]:
+        """The run's backend settings (manifest > environment > default), and
+        this manifest with them written in, so its emitted copy pins them."""
+        settings = resolve_settings(self._backend_values(), environment())
+        pinned = {f.name: getattr(settings, f.metadata["key"]) for f in _BACKEND_FIELDS}
+        params = {**self.session_params, "model_id": settings.model}
+        return replace(self, session_params=params, **pinned), settings
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunManifest":
@@ -118,103 +135,82 @@ class RunManifest:
             raise ConfigError(f"manifest not found: {path}") from None
         except ValueError as exc:
             raise ConfigError(f"manifest is not valid JSON: {exc}") from None
-        if data.get("schema") != MANIFEST_SCHEMA:
+        if not isinstance(data, dict) or data.get("schema") != MANIFEST_SCHEMA:
             raise ConfigError(f"not a run manifest: {path}")
-        base = path.parent
-
-        def resolve(value):
-            return (base / value).resolve() if value else None
-
+        unknown = sorted(_key_paths(data) - _KNOWN_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown manifest key {unknown[0]!r} in {path}")
+        data = {**data, "name": data.get("name") or path.stem}
+        hints = get_type_hints(cls)
+        values = {}
         try:
-            sess = data.get("session", {})
-            session_params = dict(
-                model_id=sess.get("model_id", "default"),
-                setting=Setting(sess.get("setting", "quality")),
-                max_iterations=int(sess.get("max_iterations", 5)),
-                topic_query=sess.get("topic_query"),
-                decoding=Decoding(
-                    temperature=float(sess.get("temperature", 0.0)),
-                    max_output_tokens=int(sess.get("max_output_tokens", 512)),
-                ),
-                stop_marker=sess.get("stop_marker", "<STOP>"),
-                strict_parsing=bool(sess.get("strict_parsing", False)),
-                min_document_tokens=int(sess.get("min_document_tokens", 10)),
-                token_budget=sess.get("token_budget"),
-            )
-            sample_data = data["sample"]
-            backend = data.get("backend", {})
-            return cls(
-                name=data.get("name", path.stem),
-                corpus_path=resolve(data["corpus"]["path"]),
-                corpus_schema=CorpusSchema(data["corpus"].get("schema", "generic")),
-                sample=SampleSpec(
-                    n=int(sample_data["n"]),
-                    seed=int(sample_data["seed"]),
-                    split=Split(sample_data.get("split", "test")),
-                ),
-                session_params=session_params,
-                output_dir=resolve(data["output_dir"]),
-                backend_mode=backend.get("mode", "live"),
-                script_path=resolve(backend.get("script")),
-                base_url=backend.get("base_url"),
-                api_key=backend.get("api_key", ""),
-                cache_path=resolve(backend.get("cache")),
-                rpm=backend.get("rpm"),
-                timeout=float(backend.get("timeout", 120.0)),
-                max_attempts=int(backend.get("max_attempts", 4)),
-                workers=int(data.get("workers", DEFAULT_WORKERS)),
-                topic_index=int(sess.get("topic_index", 0)),
-                exemplars_path=resolve(sess.get("exemplars_path")),
-                shots=int(sess.get("shots", DEFAULT_SHOTS)),
-                knowledge_endpoint=(data.get("knowledge") or {}).get("endpoint"),
-                knowledge_fallback=bool((data.get("knowledge") or {}).get("fallback_to_naive", True)),
-                faithfulness_endpoint=(data.get("faithfulness") or {}).get("endpoint"),
-                prompts_dir=resolve(data.get("prompts", {}).get("dir")),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
+            for f in fields(cls):
+                section, key = f.metadata["section"], f.metadata["key"]
+                source = (data.get(section) or {}) if section else data
+                if f.name == "session_params":
+                    values[f.name] = _session_params(data.get(key) or {})
+                elif is_set(source.get(key)):
+                    values[f.name] = coerce(hints[f.name], source[key], path.parent)
+            return cls(**values)
+        except (AttributeError, KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"invalid manifest {path}: {exc}") from exc
 
     def to_dict(self) -> dict:
-        params = self.session_params
-        return {
-            "schema": MANIFEST_SCHEMA,
-            "version": MANIFEST_VERSION,
-            "name": self.name,
-            "corpus": {"path": str(self.corpus_path), "schema": self.corpus_schema.value},
-            "sample": {"n": self.sample.n, "seed": self.sample.seed, "split": self.sample.split.value},
-            "session": {
-                "model_id": params.get("model_id", "default"),
-                "setting": self.setting.value,
-                "max_iterations": self.max_iterations,
-                "topic_query": self.topic_query,
-                "temperature": params.get("decoding", Decoding()).temperature,
-                "max_output_tokens": params.get("decoding", Decoding()).max_output_tokens,
-                "stop_marker": params.get("stop_marker", "<STOP>"),
-                "strict_parsing": params.get("strict_parsing", False),
-                "min_document_tokens": params.get("min_document_tokens", 10),
-                "token_budget": params.get("token_budget"),
-                "topic_index": self.topic_index,
-                "exemplars_path": str(self.exemplars_path) if self.exemplars_path else None,
-                "shots": self.shots,
-            },
-            "backend": {
-                "mode": self.backend_mode,
-                "script": str(self.script_path) if self.script_path else None,
-                "base_url": self.base_url,
-                "cache": str(self.cache_path) if self.cache_path else None,
-                "rpm": self.rpm,
-                "timeout": self.timeout,
-                "max_attempts": self.max_attempts,
-            },
-            "knowledge": {
-                "endpoint": self.knowledge_endpoint,
-                "fallback_to_naive": self.knowledge_fallback,
-            },
-            "faithfulness": {"endpoint": self.faithfulness_endpoint},
-            "prompts": {"dir": str(self.prompts_dir) if self.prompts_dir else None},
-            "output_dir": str(self.output_dir),
-            "workers": self.workers,
-        }
+        out: dict = {"schema": MANIFEST_SCHEMA, "version": MANIFEST_VERSION}
+        for f in fields(self):
+            section, key = f.metadata["section"], f.metadata["key"]
+            if f.metadata["secret"]:
+                continue
+            if f.name == "session_params":
+                out.setdefault(key, {}).update(_session_section(self.session_params))
+            elif section:
+                out.setdefault(section, {})[key] = _encode(getattr(self, f.name))
+            else:
+                out[key] = _encode(getattr(self, f.name))
+        return out
+
+
+#: The fields of a manifest's backend section; their keys are BackendSettings field names.
+_BACKEND_FIELDS = [f for f in fields(RunManifest) if f.metadata["section"] == "backend"]
+
+
+def _encode(value):
+    """A field value as the manifest JSON stores it."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, Path):
+        return str(value)
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def _session_params(section: dict) -> dict:
+    """SessionConfig keyword arguments from the session keys a manifest sets."""
+    params = params_of(SessionConfig, section)
+    decoding = params_of(Decoding, section)
+    if decoding:
+        params["decoding"] = Decoding(**decoding)
+    return params
+
+
+def _session_section(params: dict) -> dict:
+    """Every session key; those ``params`` leaves out take their defaults."""
+    section = {f.name: _encode(params.get(f.name, f.default)) for f in _CONFIG_FIELDS}
+    section.update(_encode(params.get("decoding", Decoding())))
+    return section
+
+
+def _key_paths(data: dict) -> set[str]:
+    """The keys of a manifest, as "section.key" inside sections."""
+    return set(data) | {f"{s}.{key}" for s, value in data.items() if isinstance(value, dict) for key in value}
+
+
+#: Every key a manifest may hold: those of a default manifest, the API key
+#: (never written out) and the provenance an emitted manifest adds.
+_KNOWN_KEYS = _key_paths(
+    RunManifest(name="", corpus_path=Path(), sample=SampleSpec(1, 0), session_params={}, output_dir=Path()).to_dict()
+) | {"backend.api_key", "prompt_fingerprint", "package_version"}
 
 
 def load_exemplars(path: str | Path, shots: int) -> list[Exemplar]:
@@ -281,38 +277,25 @@ class _CallCounter:
         return response
 
 
-def _build_backend(
-    manifest: RunManifest, counts: dict
-) -> tuple[CompletionBackend | Callable[[], CompletionBackend], bool]:
-    """Returns (backend, False) or (factory, True). Scripted backends are
-    positional single-consumer mocks, so scripted mode returns a factory."""
-    cache = ResponseCache(manifest.cache_path) if manifest.cache_path else None
-    if manifest.backend_mode == "replay":
-        return _CallCounter(ReplayBackend(cache), counts), False
-    if manifest.backend_mode == "scripted":
-        steps = load_script(manifest.script_path)
-
-        def factory():
-            backend: CompletionBackend = ScriptedBackend(steps)
-            if cache is not None:
-                backend = CachedBackend(backend, cache)
-            return _CallCounter(backend, counts)
-
-        return factory, True
-    base_url = manifest.base_url
-    if not base_url:
-        raise ConfigError("live mode requires a base_url")
-    limiter = RateLimiter(manifest.rpm) if manifest.rpm else None
-    backend: CompletionBackend = HttpBackend(
-        base_url,
-        api_key=manifest.api_key,
-        max_attempts=manifest.max_attempts,
-        timeout=manifest.timeout,
-        limiter=limiter,
-    )
-    if cache is not None:
-        backend = CachedBackend(backend, cache)
-    return _CallCounter(backend, counts), False
+def build_parts(
+    settings: BackendSettings,
+    prompts_dir: Path | None = None,
+    exemplars_path: Path | None = None,
+    shots: int = DEFAULT_SHOTS,
+    knowledge_endpoint: str | None = None,
+    knowledge_fallback: bool = True,
+) -> tuple[PromptRegistry, list[Exemplar], Callable[[], CompletionBackend], TripletExtractor | None]:
+    """The prompts, exemplars, per-session backend factory and triplet
+    extractor of a run. ``summarize`` and ``run_experiment`` both build here,
+    so a malformed prompt manifest, exemplar, script or cache file is a
+    ConfigError for both."""
+    try:
+        prompts = PromptRegistry.load(prompts_dir)
+        exemplars = load_exemplars(exemplars_path, shots) if exemplars_path else []
+        factory = backend_factory(settings)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"invalid input file ({type(exc).__name__}): {exc}") from exc
+    return prompts, exemplars, factory, build_extractor(knowledge_endpoint, knowledge_fallback)
 
 
 def _scoring_references(record: DatasetRecord, manifest: RunManifest) -> list[str]:
@@ -383,7 +366,11 @@ def run_experiment(
     acknowledge_peek: bool = False,
 ) -> ExperimentResult:
     """Process the manifest's sample and write traces + stats to its output dir."""
-    prompts = PromptRegistry.load(manifest.prompts_dir)
+    manifest, settings = manifest.resolved()
+    prompts, exemplars, factory, extractor = build_parts(
+        settings, manifest.prompts_dir, manifest.exemplars_path, manifest.shots,
+        manifest.knowledge_endpoint, manifest.knowledge_fallback,
+    )
     fingerprint = prompts.fingerprint()
     _check_peek_guard(manifest, fingerprint, acknowledge_peek)
 
@@ -398,16 +385,7 @@ def run_experiment(
     loaded = load_corpus(manifest.corpus_path, manifest.corpus_schema)
     records = sample(loaded.records, manifest.sample)
 
-    if manifest.exemplars_path:
-        manifest.session_params["exemplars"] = load_exemplars(manifest.exemplars_path, manifest.shots)
-
     counts = {"live": 0, "cache": 0, "script": 0}
-    backend_or_factory, per_session = _build_backend(manifest, counts)
-    extractor: TripletExtractor | None = None
-    if manifest.knowledge_endpoint:
-        extractor = RemoteExtractor(manifest.knowledge_endpoint)
-        if manifest.knowledge_fallback:
-            extractor = FallbackExtractor(extractor)
     scorer = (
         FaithfulnessScorer(manifest.faithfulness_endpoint)
         if manifest.faithfulness_endpoint
@@ -418,14 +396,14 @@ def run_experiment(
         topic = _record_topic(record, manifest)
         if manifest.setting is Setting.CONTROL and topic is None:
             return DocOutcome(record, error="ConfigError: record has no topic to control on")
-        config = manifest.session_for(topic)
+        config = manifest.session_for(topic, exemplars)
         doc = Document(
             id=record.id,
             text=record.document,
             reference_summaries=record.summaries,
             topics=record.topics,
         )
-        backend = backend_or_factory() if per_session else backend_or_factory
+        backend = _CallCounter(factory(), counts)
         try:
             trace = run_session(doc, config, backend, prompts, extractor)
             metrics = _doc_metrics(record, trace, manifest, topic, scorer)
@@ -442,6 +420,10 @@ def run_experiment(
     return _write_outputs(manifest, fingerprint, records, outcomes, counts)
 
 
+def _write_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _write_outputs(manifest, fingerprint, records, outcomes, counts) -> ExperimentResult:
     outdir = manifest.output_dir
     (outdir / "traces").mkdir(parents=True, exist_ok=True)
@@ -456,9 +438,8 @@ def _write_outputs(manifest, fingerprint, records, outcomes, counts) -> Experime
             failures.append({"document_id": outcome.record.id, "error": outcome.error})
             continue
         write_trace(outcome.trace, outdir / "traces" / f"{outcome.record.id}.jsonl")
-        usage_total["prompt_tokens"] += outcome.trace.usage.prompt_tokens
-        usage_total["completion_tokens"] += outcome.trace.usage.completion_tokens
-        usage_total["cache_hits"] += outcome.trace.usage.cache_hits
+        for key in usage_total:
+            usage_total[key] += getattr(outcome.trace.usage, key)
         iteration_values.append(float(outcome.metrics["iterations"]))
         for label in ("init", "final"):
             for metric, value in outcome.metrics[label].items():
@@ -488,30 +469,11 @@ def _write_outputs(manifest, fingerprint, records, outcomes, counts) -> Experime
             for metric, values in sorted(per_metric[label].items())
         }
 
-    manifest_dict = manifest.to_dict()
-    manifest_dict["prompt_fingerprint"] = fingerprint
-    manifest_dict["package_version"] = __version__
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest_dict, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (outdir / "stats.json").write_text(
-        json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (outdir / "calls.json").write_text(
-        json.dumps(
-            {
-                "schema": CALLS_SCHEMA,
-                "version": 1,
-                "mode": manifest.backend_mode,
-                "calls": counts,
-                "usage": usage_total,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    emitted = {**manifest.to_dict(), "prompt_fingerprint": fingerprint, "package_version": __version__}
+    _write_json(outdir / "manifest.json", emitted)
+    _write_json(outdir / "stats.json", stats)
+    calls = {"schema": CALLS_SCHEMA, "version": 1, "mode": manifest.backend_mode, "calls": counts, "usage": usage_total}
+    _write_json(outdir / "calls.json", calls)
     failures_path = outdir / "failures.jsonl"
     if failures:
         with failures_path.open("w", encoding="utf-8") as fh:

@@ -189,6 +189,14 @@ class FallbackExtractor:
             return self.fallback.extract(text)
 
 
+def build_extractor(endpoint: str | None, fallback: bool = True) -> TripletExtractor | None:
+    """The remote extractor at ``endpoint`` (None without one), behind the
+    naive fallback unless ``fallback`` is False."""
+    if not endpoint:
+        return None
+    return FallbackExtractor(RemoteExtractor(endpoint)) if fallback else RemoteExtractor(endpoint)
+
+
 def select_for_prompt(triplets: list[Triplet], limit: int = PROMPT_TRIPLET_LIMIT) -> list[Triplet]:
     """Highest-confidence ``limit`` triplets, stable under ties."""
     ranked = sorted(

@@ -181,7 +181,3 @@ class FaithfulnessScorer:
         if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
             raise RemoteUnavailable(f"faithfulness score out of range or missing: {value!r}")
         return float(value)
-
-    def score_batch(self, pairs: list[tuple[str, str]]) -> list[float]:
-        """Score (document, summary) pairs one by one, preserving input order."""
-        return [self.score(doc, summary) for doc, summary in pairs]

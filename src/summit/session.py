@@ -15,7 +15,7 @@ from .backend import ChatMessage, CompletionBackend, CompletionRequest, Role, Se
 from .errors import BudgetExceeded
 from .knowledge import NaiveExtractor, TripletExtractor, extract_triplets, render_triplets, select_for_prompt
 from .metrics import tokenize
-from .parsing import parse_feedback
+from .parsing import UNIFORM_DISTRIBUTION, parse_feedback
 from .prompting import (
     EVALUATOR_FORMAT_INSTRUCTIONS,
     SUMMARIZER_FORMAT_INSTRUCTIONS,
@@ -136,7 +136,7 @@ def _synthetic_stop_feedback(config: SessionConfig) -> Feedback:
     )
     return Feedback(
         raw=raw,
-        score_distribution={s: 0.2 for s in (1, 2, 3, 4, 5)},
+        score_distribution=dict(UNIFORM_DISTRIBUTION),
         expected_score=UNIFORM_EXPECTED_SCORE,
         edit_ops=[],
         stop_requested=True,

@@ -7,10 +7,6 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-DEFAULT_STOP_MARKER = "<STOP>"
-DEFAULT_MAX_ITERATIONS = 5
-DEFAULT_MIN_DOCUMENT_TOKENS = 10
-
 
 class Setting(enum.Enum):
     QUALITY = "quality"
@@ -131,13 +127,13 @@ class SessionConfig:
 
     model_id: str = "default"
     setting: Setting = Setting.QUALITY
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
+    max_iterations: int = 5
     topic_query: str | None = None
     exemplars: list[Exemplar] = field(default_factory=list)
     decoding: Decoding = field(default_factory=Decoding)
-    stop_marker: str = DEFAULT_STOP_MARKER
+    stop_marker: str = "<STOP>"
     strict_parsing: bool = False
-    min_document_tokens: int = DEFAULT_MIN_DOCUMENT_TOKENS
+    min_document_tokens: int = 10
     token_budget: int | None = None
 
     def __post_init__(self):
@@ -195,10 +191,6 @@ class SessionTrace:
     stopped_by: StopReason
     usage: Usage
     prompt_log: list[PromptCall] = field(default_factory=list)
-
-    @property
-    def initial_summary(self) -> Summary:
-        return self.steps[0].summary
 
     @property
     def final_summary(self) -> Summary:

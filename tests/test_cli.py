@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+import requests
 from click.testing import CliRunner
 
 from helpers import QUALITY_SCRIPT, make_corpus_file, write_script
 from summit.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_PARTIAL, main
 from summit.config import resolve_backend_settings
+from summit.experiment import RunManifest
 
 DOC_TEXT = (
     "The harbor council approved emergency repairs on Friday after winter storms "
@@ -74,6 +78,19 @@ def test_summarize_scripted_prints_final_refine_output(runner, tmp_path):
     assert result.output.strip().endswith("Refined summary of the document.")
     lines = trace_out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3  # header + 2 steps
+
+
+def test_summarize_fills_a_new_cache_that_replay_serves(runner, tmp_path):
+    doc = write_doc(tmp_path)
+    script = write_script(tmp_path / "script.json", QUALITY_SCRIPT)
+    cache = str(tmp_path / "cache.jsonl")
+    first = runner.invoke(
+        main, ["summarize", "--doc", str(doc), "--backend", "scripted", "--script", str(script), "--cache", cache]
+    )
+    assert first.exit_code == 0, first.output
+    replayed = runner.invoke(main, ["summarize", "--doc", str(doc), "--backend", "replay", "--cache", cache])
+    assert replayed.exit_code == 0, replayed.output
+    assert replayed.output == first.output
 
 
 def test_summarize_reads_stdin(runner, tmp_path):
@@ -293,6 +310,148 @@ def test_run_exp_faithfulness_setting_offline(runner, tmp_path):
     assert len(list(trace)) == 3
 
 
+def test_run_exp_writes_a_header_into_an_empty_cache_file(runner, tmp_path):
+    manifest = make_manifest(tmp_path, n=3)
+    (tmp_path / "cache.jsonl").touch()
+    first = runner.invoke(main, ["run-exp", str(manifest)])
+    assert first.exit_code == 0, first.output
+    header = json.loads((tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    assert header == {"schema": "summit/cache", "version": 1}
+
+    second = runner.invoke(main, ["run-exp", str(manifest), "--out", str(tmp_path / "again")])
+    assert second.exit_code == 0, second.output
+    calls = json.loads((tmp_path / "again" / "calls.json").read_text(encoding="utf-8"))
+    assert calls["calls"]["script"] == 0
+    assert calls["calls"]["cache"] > 0
+
+
+class _FakeResponse:
+    status_code = 200
+    text = json.dumps(
+        {
+            "choices": [{"message": {"content": "A short summary. <STOP>"}}],
+            "usage": {"prompt_tokens": 3, "completion_tokens": 4},
+        }
+    )
+
+
+@pytest.mark.parametrize("pinned_model", [None, "manifest-model"])
+def test_run_exp_live_fills_unset_settings_from_environment(runner, tmp_path, monkeypatch, pinned_model):
+    monkeypatch.setenv("SUMMIT_API_KEY", "env-secret")
+    monkeypatch.setenv("SUMMIT_BASE_URL", "http://env-host/v1")
+    monkeypatch.setenv("SUMMIT_MODEL", "env-model")
+    posts = []
+
+    def fake_post(url, headers, json, timeout):
+        posts.append((url, headers, json))
+        return _FakeResponse()
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    path = make_manifest(tmp_path, n=2, mode="live", cache=None)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["session"].pop("model_id")
+    if pinned_model:
+        data["session"]["model_id"] = pinned_model
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+    result = runner.invoke(main, ["run-exp", str(path), "--yes"])
+    assert result.exit_code == 0, result.output
+    assert posts
+    expected_model = pinned_model or "env-model"
+    for url, headers, payload in posts:
+        assert url == "http://env-host/v1/chat/completions"
+        assert headers["Authorization"] == "Bearer env-secret"
+        assert payload["model"] == expected_model
+    emitted = (tmp_path / "out" / "manifest.json").read_text(encoding="utf-8")
+    assert "env-secret" not in emitted
+    assert json.loads(emitted)["session"]["model_id"] == expected_model
+
+
+def test_replay_keeps_the_model_of_the_emitted_manifest(runner, tmp_path, monkeypatch):
+    monkeypatch.delenv("SUMMIT_MODEL", raising=False)
+    path = make_manifest(tmp_path, n=2)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["session"].pop("model_id")
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert runner.invoke(main, ["run-exp", str(path)]).exit_code == 0
+
+    monkeypatch.setenv("SUMMIT_MODEL", "exported-model")
+    emitted = tmp_path / "out" / "manifest.json"
+    result = runner.invoke(main, ["replay", str(emitted), "--out", str(tmp_path / "replayed")])
+    assert result.exit_code == 0, result.output
+    calls = json.loads((tmp_path / "replayed" / "calls.json").read_text(encoding="utf-8"))
+    assert calls["calls"]["live"] == calls["calls"]["script"] == 0
+
+
+def test_manifest_api_key_is_read_but_never_written(tmp_path):
+    path = make_manifest(tmp_path, n=2)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data["version"]
+    data["backend"]["api_key"] = "manifest-secret"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    manifest = RunManifest.from_file(path)
+    assert manifest.api_key == "manifest-secret"
+    assert "manifest-secret" not in json.dumps(manifest.to_dict())
+
+
+def test_emitted_manifest_reloads_to_the_same_dict(runner, tmp_path):
+    manifest = make_manifest(tmp_path, n=2, max_iterations=3, temperature=0.5)
+    assert runner.invoke(main, ["run-exp", str(manifest)]).exit_code == 0
+    emitted_path = tmp_path / "out" / "manifest.json"
+    emitted = json.loads(emitted_path.read_text(encoding="utf-8"))
+    del emitted["prompt_fingerprint"], emitted["package_version"]
+    assert RunManifest.from_file(emitted_path).to_dict() == emitted
+
+
+def _script_with_wrong_schema(tmp_path, manifest):
+    (tmp_path / "script.json").write_text(json.dumps({"schema": "other", "steps": []}), encoding="utf-8")
+
+
+def _script_not_json(tmp_path, manifest):
+    (tmp_path / "script.json").write_text("{not json", encoding="utf-8")
+
+
+def _prompts_with_wrong_schema(tmp_path, manifest):
+    (tmp_path / "prompts").mkdir()
+    (tmp_path / "prompts" / "manifest.json").write_text(json.dumps({"schema": "other"}), encoding="utf-8")
+    manifest["prompts"] = {"dir": "prompts"}
+
+
+def _exemplar_without_summary(tmp_path, manifest):
+    (tmp_path / "exemplars.jsonl").write_text(json.dumps({"document": "d"}) + "\n", encoding="utf-8")
+    manifest["session"]["exemplars_path"] = "exemplars.jsonl"
+
+
+def _misspelt_manifest_key(tmp_path, manifest):
+    manifest["session"]["max_iteration"] = 1
+
+
+@pytest.mark.parametrize(
+    "command, breakage, message",
+    [
+        ("run-exp", _script_with_wrong_schema, "not a script file"),
+        ("summarize", _script_with_wrong_schema, "not a script file"),
+        ("run-exp", _script_not_json, "JSONDecodeError"),
+        ("run-exp", _prompts_with_wrong_schema, "not a prompt manifest"),
+        ("run-exp", _exemplar_without_summary, "summary"),
+        ("run-exp", _misspelt_manifest_key, "session.max_iteration"),
+    ],
+)
+def test_malformed_inputs_exit_with_config_error(runner, tmp_path, command, breakage, message):
+    path = make_manifest(tmp_path, n=2)
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    breakage(tmp_path, manifest)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    if command == "run-exp":
+        args = ["run-exp", str(path)]
+    else:
+        script = str(tmp_path / "script.json")
+        args = ["summarize", "--doc", str(write_doc(tmp_path)), "--backend", "scripted", "--script", script]
+    result = runner.invoke(main, args)
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert message in result.output
+
+
 # --- report ------------------------------------------------------------------------
 
 
@@ -396,6 +555,11 @@ def test_config_precedence_flags_env_file(tmp_path, monkeypatch):
 
     monkeypatch.delenv("SUMMIT_MODEL")
     assert resolve_backend_settings(file_config).model == "file-model"
+
+
+def test_importing_the_experiment_runner_leaves_yaml_unloaded():
+    code = "import sys, summit.experiment; sys.exit('yaml' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
 
 
 def test_version_flag(runner):

@@ -273,10 +273,3 @@ def test_faithfulness_rejects_out_of_range():
     with pytest.raises(RemoteUnavailable):
         scorer.score("doc", "sum")
 
-
-def test_faithfulness_batch_preserves_order():
-    session = _StubSession([(200, {"score": 0.1}), (200, {"score": 0.2}), (200, {"score": 0.3})])
-    scorer = FaithfulnessScorer("http://scorer", session=session)
-    pairs = [("d1", "s1"), ("d2", "s2"), ("d3", "s3")]
-    assert scorer.score_batch(pairs) == [pytest.approx(0.1), pytest.approx(0.2), pytest.approx(0.3)]
-    assert [c["document"] for c in session.calls] == ["d1", "d2", "d3"]
