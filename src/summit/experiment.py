@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import enum
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, get_type_hints
 
+from . import metrics
 from ._version import __version__
 from .backend import BackendSettings, CompletionBackend, backend_factory
 from .config import coerce, environment, is_set, params_of, resolve_settings
@@ -265,15 +267,18 @@ class ExperimentResult:
 
 
 class _CallCounter:
-    """Wraps a backend to tally where responses were served from."""
+    """Wraps a backend to tally where responses were served from. Sessions on
+    every worker thread add to the same ``counts``, under ``lock``."""
 
-    def __init__(self, inner: CompletionBackend, counts: dict):
+    def __init__(self, inner: CompletionBackend, counts: dict, lock: threading.Lock):
         self.inner = inner
         self.counts = counts
+        self.lock = lock
 
     def complete(self, request):
         response = self.inner.complete(request)
-        self.counts[response.served_from.value] += 1
+        with self.lock:
+            self.counts[response.served_from.value] += 1
         return response
 
 
@@ -326,14 +331,17 @@ def _doc_metrics(
     topic: str | None,
     scorer: FaithfulnessScorer | None,
 ) -> dict:
-    references = _scoring_references(record, manifest)
+    # Each text is tokenized once, through the metrics module so the calls
+    # stay countable there (perfbench/tracer.py counts metrics.tokenize).
+    references = [metrics.tokenize(ref) for ref in _scoring_references(record, manifest)]
     out: dict = {"iterations": len(trace.steps)}
     for label, step in (("init", trace.steps[0]), ("final", trace.steps[-1])):
         text = step.summary.text
+        tokens = metrics.tokenize(text)
         row = {
-            "rouge1": rouge_n_multi(text, references, 1).f1,
-            "rouge2": rouge_n_multi(text, references, 2).f1,
-            "rougeL": rouge_l_multi(text, references).f1,
+            "rouge1": rouge_n_multi(tokens, references, 1).f1,
+            "rouge2": rouge_n_multi(tokens, references, 2).f1,
+            "rougeL": rouge_l_multi(tokens, references).f1,
             "gpt_eval": step.feedback.expected_score,
         }
         if topic is not None:
@@ -386,6 +394,7 @@ def run_experiment(
     records = sample(loaded.records, manifest.sample)
 
     counts = {"live": 0, "cache": 0, "script": 0}
+    counts_lock = threading.Lock()
     scorer = (
         FaithfulnessScorer(manifest.faithfulness_endpoint)
         if manifest.faithfulness_endpoint
@@ -403,13 +412,13 @@ def run_experiment(
             reference_summaries=record.summaries,
             topics=record.topics,
         )
-        backend = _CallCounter(factory(), counts)
+        backend = _CallCounter(factory(), counts, counts_lock)
         try:
             trace = run_session(doc, config, backend, prompts, extractor)
-            metrics = _doc_metrics(record, trace, manifest, topic, scorer)
+            scores = _doc_metrics(record, trace, manifest, topic, scorer)
         except SummitError as exc:
             return DocOutcome(record, error=f"{type(exc).__name__}: {exc}")
-        return DocOutcome(record, trace=trace, metrics=metrics)
+        return DocOutcome(record, trace=trace, metrics=scores)
 
     if manifest.workers == 1 or len(records) <= 1:
         outcomes = [process(r) for r in records]

@@ -3,7 +3,14 @@
 ROUGE is implemented from scratch on a fixed tokenizer (lowercase, split on
 runs of non-alphanumeric characters, no stemming or stopword removal), so
 scores are exact against the in-repo oracles rather than against any
-particular third-party ROUGE build.
+particular third-party ROUGE build. ROUGE-L's longest common subsequence is
+the bit-parallel LCS-length recurrence of Allison & Dix (1986), "A
+bit-string longest-common-subsequence algorithm", in the form of Hyyrö
+(2004), "Bit-parallel LCS-length computation revisited", over Python ints.
+
+``rouge_n`` and ``rouge_l`` score one pair of strings; ``rouge_n_multi`` and
+``rouge_l_multi`` score token lists against several references, so a caller
+scoring many candidates tokenizes each text once.
 """
 
 from __future__ import annotations
@@ -45,62 +52,74 @@ def _f1(precision: float, recall: float) -> float:
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
-    """Clipped n-gram overlap between candidate and reference."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cand = _ngrams(tokenize(candidate), n)
-    ref = _ngrams(tokenize(reference), n)
-    overlap = sum((cand & ref).values())
-    cand_total = sum(cand.values())
-    ref_total = sum(ref.values())
+def _score(overlap: int, cand_total: int, ref_total: int) -> RougeScore:
     precision = overlap / cand_total if cand_total else 0.0
     recall = overlap / ref_total if ref_total else 0.0
     return RougeScore(precision, recall, _f1(precision, recall))
 
 
+def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
+    """Clipped n-gram overlap between candidate and reference."""
+    return rouge_n_multi(tokenize(candidate), [tokenize(reference)], n)
+
+
 def lcs_length(a: list[str], b: list[str]) -> int:
-    """Longest common subsequence length via two-row dynamic programming."""
-    if not a or not b:
-        return 0
+    """Longest common subsequence length, bit-parallel (Allison & Dix 1986;
+    Hyyrö 2004, "Bit-parallel LCS-length computation revisited").
+
+    Bit j of ``v`` stands for token j of the shorter side. Each token of the
+    longer side updates all of ``v`` at once with a few operations on
+    len(shorter)-bit ints, so a pair costs O(n * ceil(m / w)) machine-word
+    operations in place of the O(n * m) cells of the two-row dynamic
+    program; afterwards the zero bits of ``v`` number the LCS.
+    """
     if len(b) > len(a):
         a, b = b, a
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        curr = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                curr.append(prev[j - 1] + 1)
-            else:
-                curr.append(max(prev[j], curr[j - 1]))
-        prev = curr
-    return prev[-1]
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        match = masks.get(token)
+        if match:
+            u = v & match
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: str, reference: str) -> RougeScore:
     """LCS-based overlap between candidate and reference token sequences."""
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
-    length = lcs_length(cand, ref)
-    precision = length / len(cand) if cand else 0.0
-    recall = length / len(ref) if ref else 0.0
-    return RougeScore(precision, recall, _f1(precision, recall))
+    return rouge_l_multi(tokenize(candidate), [tokenize(reference)])
 
 
-def rouge_n_multi(candidate: str, references: list[str], n: int) -> RougeScore:
-    """Score against each reference, keep the max-F1 score."""
+def rouge_n_multi(candidate: list[str], references: list[list[str]], n: int) -> RougeScore:
+    """ROUGE-N of a token list against each reference token list; the max-F1 score."""
     if not references:
         raise EmptyInput("at least one reference is required")
-    return max((rouge_n(candidate, ref, n) for ref in references), key=lambda s: s.f1)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    cand = _ngrams(candidate, n)
+    cand_total = sum(cand.values())
+    scores = []
+    for reference in references:
+        ref = _ngrams(reference, n)
+        overlap = sum(min(count, ref[gram]) for gram, count in cand.items() if gram in ref)
+        scores.append(_score(overlap, cand_total, sum(ref.values())))
+    return max(scores, key=lambda s: s.f1)
 
 
-def rouge_l_multi(candidate: str, references: list[str]) -> RougeScore:
+def rouge_l_multi(candidate: list[str], references: list[list[str]]) -> RougeScore:
+    """ROUGE-L of a token list against each reference token list; the max-F1 score."""
     if not references:
         raise EmptyInput("at least one reference is required")
-    return max((rouge_l(candidate, ref) for ref in references), key=lambda s: s.f1)
+    return max(
+        (_score(lcs_length(candidate, ref), len(candidate), len(ref)) for ref in references),
+        key=lambda s: s.f1,
+    )
 
 
 def expected_score(distribution: dict[int, float]) -> float:
@@ -115,7 +134,9 @@ def expected_score(distribution: dict[int, float]) -> float:
     if not math.isclose(total, 1.0, abs_tol=_SUM_TOLERANCE):
         log.debug("renormalizing score distribution with mass %.6f", total)
         distribution = {k: v / total for k, v in distribution.items()}
-    return sum(score * p for score, p in distribution.items())
+    # A mass within the tolerance of 1 is not renormalized, and could carry
+    # the expectation just past either end of the scale.
+    return min(5.0, max(1.0, sum(score * p for score, p in distribution.items())))
 
 
 def topic_similarity(query: str, summary: str) -> float:

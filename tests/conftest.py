@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from summit import PromptRegistry
 
 _ACCEPTANCE_KEY = pytest.StashKey()
+
+# CI runs the property tests harder; a property test that pins its own
+# max_examples keeps that count under either profile.
+settings.register_profile("ci", max_examples=1000)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -50,6 +50,24 @@ def lcs_oracle(a: list[str], b: list[str]) -> int:
     return best
 
 
+def lcs_dp_oracle(a: list[str], b: list[str]) -> int:
+    """LCS length by the two-row dynamic program, for sequences of any length."""
+    if not a or not b:
+        return 0
+    if len(b) > len(a):
+        a, b = b, a
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        curr = [0]
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                curr.append(prev[j - 1] + 1)
+            else:
+                curr.append(max(prev[j], curr[j - 1]))
+        prev = curr
+    return prev[-1]
+
+
 # --- scripted session generation ---------------------------------------------
 
 STOP = "<STOP>"

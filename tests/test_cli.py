@@ -165,6 +165,24 @@ def test_run_exp_processes_sample(runner, tmp_path):
     assert (out / "manifest.json").exists()
 
 
+def test_run_exp_counts_every_call_across_worker_threads(runner, tmp_path):
+    # Four workers tally into one calls.json; a short switch interval makes
+    # thread switches frequent, so a lost update would show as a short count.
+    n = 200
+    manifest = make_manifest(tmp_path, n=n, cache=None)
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    manifest.write_text(json.dumps({**data, "workers": 4}), encoding="utf-8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = runner.invoke(main, ["run-exp", str(manifest)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.exit_code == 0, result.output
+    calls = json.loads((tmp_path / "out" / "calls.json").read_text(encoding="utf-8"))
+    assert calls["calls"] == {"live": 0, "cache": 0, "script": n * len(QUALITY_SCRIPT)}
+
+
 def test_run_exp_poison_doc_records_failure(runner, tmp_path):
     records = make_corpus_file(tmp_path / "corpus.jsonl", 10)
     poison_id = records[3].id

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lcs_oracle, rouge_n_oracle
+from helpers import lcs_dp_oracle, lcs_oracle, rouge_n_oracle
 from summit.errors import DegenerateDistribution, EmptyInput, RemoteUnavailable
 from summit.metrics import (
     FaithfulnessScorer,
@@ -14,6 +14,7 @@ from summit.metrics import (
     expected_score,
     lcs_length,
     rouge_l,
+    rouge_l_multi,
     rouge_n,
     rouge_n_multi,
     tokenize,
@@ -129,7 +130,71 @@ def test_bounds_and_lcs_dominance(a, b):
 
 def test_multi_reference_takes_max_f1():
     refs = ["the cat was on the mat", "completely unrelated words here"]
-    assert rouge_n_multi(CAND, refs, 1).f1 == pytest.approx(5 / 6, abs=1e-9)
+    assert rouge_n_multi(tokenize(CAND), [tokenize(r) for r in refs], 1).f1 == pytest.approx(5 / 6, abs=1e-9)
+
+
+@given(tokens, st.lists(tokens, min_size=1, max_size=4), st.integers(min_value=1, max_value=3))
+def test_token_level_multi_is_max_f1_of_string_level(cand, refs, n):
+    cand_text, ref_texts = " ".join(cand), [" ".join(r) for r in refs]
+    assert rouge_n_multi(cand, refs, n) == max((rouge_n(cand_text, r, n) for r in ref_texts), key=lambda s: s.f1)
+    assert rouge_l_multi(cand, refs) == max((rouge_l(cand_text, r) for r in ref_texts), key=lambda s: s.f1)
+
+
+def test_multi_without_references_raises():
+    with pytest.raises(EmptyInput):
+        rouge_n_multi(["a"], [], 1)
+    with pytest.raises(EmptyInput):
+        rouge_l_multi(["a"], [])
+
+
+# --- long sequences: the bit-parallel LCS against the two-row DP ----------------------
+
+WORDS = "a b c d e f g h".split()
+
+
+@st.composite
+def long_token_pairs(draw):
+    # Lengths are drawn first: plain st.lists stays short and never leaves one machine word.
+    alphabet = st.sampled_from(WORDS[: draw(st.integers(min_value=2, max_value=8))])
+    sides = []
+    for _ in range(2):
+        length = draw(st.integers(min_value=0, max_value=300))
+        sides.append(draw(st.lists(alphabet, min_size=length, max_size=length)))
+    return tuple(sides)
+
+
+@given(long_token_pairs())
+@settings(deadline=None)
+def test_lcs_matches_dp_on_long_sequences(pair):
+    a, b = pair
+    assert lcs_length(a, b) == lcs_dp_oracle(a, b)
+
+
+def _random_tokens(length: int, alphabet: int, seed: int) -> list[str]:
+    rng = random.Random(seed)
+    return [rng.choice(WORDS[:alphabet]) for _ in range(length)]
+
+
+@pytest.mark.parametrize("short_len", [29, 30, 31, 59, 60, 61, 62, 63, 64, 65])
+@pytest.mark.parametrize("alphabet", [2, 4, 8])
+def test_lcs_at_machine_word_boundaries(short_len, alphabet):
+    short = _random_tokens(short_len, alphabet, seed=short_len)
+    for long_len in (short_len, short_len + 1, 3 * short_len):
+        long_ = _random_tokens(long_len, alphabet, seed=1000 + long_len)
+        expected = lcs_dp_oracle(short, long_)
+        assert lcs_length(short, long_) == expected
+        assert lcs_length(long_, short) == expected
+
+
+@pytest.mark.parametrize("length", [1, 2, 30, 64, 65, 200])
+def test_lcs_degenerate_shapes(length):
+    seq = _random_tokens(length, 8, seed=length)
+    assert lcs_length(seq, seq) == length
+    assert lcs_length(seq, ["a"]) == lcs_length(["a"], seq) == ("a" in seq)
+    assert lcs_length(seq, ["z"]) == 0
+    repeated = ["b"] * length
+    assert lcs_length(repeated, ["b"] * (length + 3)) == length
+    assert lcs_length(repeated, seq) == lcs_dp_oracle(repeated, seq)
 
 
 # --- expected score -----------------------------------------------------------------
@@ -150,6 +215,11 @@ def test_expected_score_zero_mass_raises():
 
 def test_expected_score_renormalizes():
     assert expected_score({4: 2.0, 5: 2.0}) == pytest.approx(4.5)
+
+
+def test_expected_score_mass_within_tolerance_stays_on_the_scale():
+    assert expected_score({5: 1.0000005}) == 5.0
+    assert expected_score({1: 0.9999995}) == 1.0
 
 
 def test_expected_score_rejects_bad_keys_and_values():
