@@ -74,7 +74,7 @@ def main():
 
 @main.command()
 @click.option("--doc", type=click.Path(exists=True, dir_okay=False), help="Document file (default: stdin).")
-@click.option("--doc-id", default="stdin", help="Identifier recorded in the trace.")
+@click.option("--doc-id", default=None, help="Identifier recorded in the trace (default: the file stem, or stdin).")
 @click.option("--setting", type=click.Choice([s.value for s in Setting]), default=SessionConfig.setting.value, show_default=True)
 @click.option("--topic", default=None, help="Topic query (required for --setting control).")
 @click.option("--max-iters", type=int, default=SessionConfig.max_iterations, show_default=True)
@@ -125,7 +125,7 @@ def summarize(
         strict_parsing=strict,
         token_budget=token_budget,
     )
-    document = Document(id=doc_id if doc is None else Path(doc).stem, text=text)
+    document = Document(id=doc_id or (Path(doc).stem if doc else "stdin"), text=text)
     trace = run_session(document, config, factory(), prompts, extractor)
     if trace_out:
         write_trace(trace, trace_out)

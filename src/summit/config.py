@@ -47,11 +47,18 @@ def is_set(value) -> bool:
     return value is not None and value != ""
 
 
-def coerce(hint, value, base: Path | None = None):
-    """``value`` converted to the annotated type ``hint``.
+#: The exact value types a bool, int or float field accepts: a bool is
+#: no number here, though Python makes bool a subclass of int.
+_ACCEPTED = {bool: (bool,), int: (int,), float: (int, float)}
+
+
+def coerce(hint, value, base: Path | None = None, key: str = "value"):
+    """``value``, set at ``key``, converted to the annotated type ``hint``.
 
     ``X | None`` converts to ``X``; a relative path resolves against
     ``base`` when one is given; a nested dataclass is built from a dict.
+    A bool, int or float field takes only the types ``_ACCEPTED`` names, so
+    ``"false"`` is no bool and 2.7 no int (ConfigError naming ``key``).
     """
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
@@ -59,13 +66,15 @@ def coerce(hint, value, base: Path | None = None):
         return (base / value).resolve() if base is not None else Path(value)
     if dataclasses.is_dataclass(hint):
         return hint(**params_of(hint, value, base))
+    if hint in _ACCEPTED and type(value) not in _ACCEPTED[hint]:
+        raise ConfigError(f"{key} must be of type {hint.__name__}, not {type(value).__name__} {value!r}")
     return hint(value)
 
 
 def params_of(cls, data: dict, base: Path | None = None) -> dict:
     """Keyword arguments for dataclass ``cls`` from the keys of ``data`` it has fields for."""
     hints = typing.get_type_hints(cls)
-    return {k: coerce(hints[k], v, base) for k, v in data.items() if k in hints and is_set(v)}
+    return {k: coerce(hints[k], v, base, k) for k, v in data.items() if k in hints and is_set(v)}
 
 
 def environment() -> dict:

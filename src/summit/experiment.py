@@ -152,7 +152,7 @@ class RunManifest:
                 if f.name == "session_params":
                     values[f.name] = _session_params(data.get(key) or {})
                 elif is_set(source.get(key)):
-                    values[f.name] = coerce(hints[f.name], source[key], path.parent)
+                    values[f.name] = coerce(hints[f.name], source[key], path.parent, key)
             return cls(**values)
         except (AttributeError, KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"invalid manifest {path}: {exc}") from exc
@@ -406,12 +406,7 @@ def run_experiment(
         if manifest.setting is Setting.CONTROL and topic is None:
             return DocOutcome(record, error="ConfigError: record has no topic to control on")
         config = manifest.session_for(topic, exemplars)
-        doc = Document(
-            id=record.id,
-            text=record.document,
-            reference_summaries=record.summaries,
-            topics=record.topics,
-        )
+        doc = Document(id=record.id, text=record.document)
         backend = _CallCounter(factory(), counts, counts_lock)
         try:
             trace = run_session(doc, config, backend, prompts, extractor)

@@ -28,7 +28,6 @@ from .types import (
     Document,
     EditKind,
     Feedback,
-    PromptCall,
     SessionConfig,
     SessionTrace,
     Setting,
@@ -65,7 +64,6 @@ class ChatThread:
     config: SessionConfig
     context: dict[str, str]
     usage: Usage
-    prompt_log: list[PromptCall]
     document_id: str = ""
     messages: list[ChatMessage] = field(default_factory=list)
     last_summary: Summary | None = None
@@ -95,9 +93,6 @@ class ChatThread:
         self.usage.completion_tokens += response.usage.completion_tokens
         if response.served_from is ServedFrom.CACHE:
             self.usage.cache_hits += 1
-        self.prompt_log.append(
-            PromptCall(self.role.value, stage.value, iteration, rendered.system, rendered.user)
-        )
         return response.text
 
 
@@ -153,7 +148,6 @@ def run_session(
 ) -> SessionTrace:
     """Run one full refinement session and return its trace."""
     usage = Usage()
-    prompt_log: list[PromptCall] = []
     base = _base_context(doc, config, extractor)
     summarizer = ChatThread(
         role=PromptRole.SUMMARIZER,
@@ -164,7 +158,6 @@ def run_session(
             "exemplars": format_exemplars(config.exemplars, PromptRole.SUMMARIZER),
         },
         usage=usage,
-        prompt_log=prompt_log,
         document_id=doc.id,
     )
     evaluator = ChatThread(
@@ -176,7 +169,6 @@ def run_session(
             "exemplars": format_exemplars(config.exemplars, PromptRole.EVALUATOR),
         },
         usage=usage,
-        prompt_log=prompt_log,
         document_id=doc.id,
     )
 
@@ -197,7 +189,7 @@ def run_session(
 
     if len(tokenize(doc.text)) < config.min_document_tokens:
         steps.append(TraceStep(summary=summary, feedback=_synthetic_stop_feedback(config)))
-        return SessionTrace(doc.id, config, steps, StopReason.EVALUATOR_STOP, usage, prompt_log)
+        return SessionTrace(doc.id, steps, StopReason.EVALUATOR_STOP, usage)
 
     stopped_by = StopReason.MAX_ITERATIONS
     for iteration in range(1, config.max_iterations + 1):
@@ -212,4 +204,4 @@ def run_session(
         summary = step_refine(summarizer, feedback, prompts, backend)
         check_budget()
 
-    return SessionTrace(doc.id, config, steps, stopped_by, usage, prompt_log)
+    return SessionTrace(doc.id, steps, stopped_by, usage)

@@ -55,18 +55,14 @@ class EditOp:
 
 @dataclass(frozen=True)
 class Document:
-    """A source text to summarize, with optional references and topics."""
+    """A source text to summarize."""
 
     id: str
     text: str
-    reference_summaries: tuple[str, ...] = ()
-    topics: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.text.strip():
             raise ValueError("document text is empty")
-        if len(self.topics) > 2:
-            raise ValueError("at most 2 topics per document")
 
 
 @dataclass(frozen=True)
@@ -166,31 +162,16 @@ class TraceStep:
     feedback: Feedback
 
 
-@dataclass(frozen=True)
-class PromptCall:
-    """One rendered prompt sent to the backend, kept for inspection/debugging."""
-
-    role: str
-    stage: str
-    iteration: int
-    system: str
-    user: str
-
-
 @dataclass
 class SessionTrace:
-    """The full history of one session. Treat as immutable once returned.
-
-    ``prompt_log`` is in-memory provenance only; the serialized trace file
-    carries the per-step record schema (see trace_io).
-    """
+    """The drafts, feedback, stop reason and token usage of one session,
+    which the trace file records (see trace_io). Treat as immutable once
+    returned."""
 
     document_id: str
-    config: SessionConfig
     steps: list[TraceStep]
     stopped_by: StopReason
     usage: Usage
-    prompt_log: list[PromptCall] = field(default_factory=list)
 
     @property
     def final_summary(self) -> Summary:

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from summit.backend import SCRIPT_SCHEMA, ScriptStep
+from summit.backend import SCRIPT_SCHEMA, CompletionBackend, CompletionRequest, CompletionResponse, ScriptStep
 from summit.corpus import DatasetRecord, write_corpus
 from summit.types import EditKind
 
@@ -145,6 +145,32 @@ def random_session_plan(rng: random.Random) -> PlannedSession:
         else:
             behaviors.append(rng.choice(CONTINUE_BEHAVIORS))
     return plan_session(behaviors, max_iterations, echo_refine=rng.random() < 0.1)
+
+
+@dataclass(frozen=True)
+class RecordedRequest:
+    """One request a session sent: its stage (from the request tag,
+    ``document_id/stage/iteration``) and its last user message."""
+
+    stage: str
+    user: str
+
+
+class RecordingBackend:
+    """Wraps a backend and keeps every request sent through it, in order."""
+
+    def __init__(self, inner: CompletionBackend):
+        self.inner = inner
+        self.requests: list[RecordedRequest] = []
+
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        stage = request.request_tag.rsplit("/", 2)[1]
+        self.requests.append(RecordedRequest(stage, request.last_user_content))
+        return self.inner.complete(request)
+
+    def stage(self, *stages: str) -> list[RecordedRequest]:
+        """The recorded requests of the given stages."""
+        return [r for r in self.requests if r.stage in stages]
 
 
 QUALITY_SCRIPT = [

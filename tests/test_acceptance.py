@@ -16,6 +16,7 @@ from click.testing import CliRunner
 
 from helpers import (
     QUALITY_SCRIPT,
+    RecordingBackend,
     lcs_oracle,
     make_corpus_file,
     make_length_profiled_records,
@@ -52,12 +53,13 @@ def test_criterion_1_offline_loop_invariants(registry):
         plan = random_session_plan(rng)
         config = SessionConfig(max_iterations=plan.max_iterations)
         backend = ScriptedBackend(plan.steps)
-        trace = run_session(DOC, config, backend, registry)
+        recorder = RecordingBackend(backend)
+        trace = run_session(DOC, config, recorder, registry)
 
         # Termination within budget: bounded calls for both roles, and the
         # backend saw exactly the planned number of requests.
-        evaluator_calls = sum(1 for c in trace.prompt_log if c.stage == "evaluate")
-        summarizer_calls = sum(1 for c in trace.prompt_log if c.stage in ("summarize", "refine"))
+        evaluator_calls = len(recorder.stage("evaluate"))
+        summarizer_calls = len(recorder.stage("summarize", "refine"))
         assert evaluator_calls <= config.max_iterations, case
         assert summarizer_calls <= config.max_iterations, case
         assert backend.cursor == plan.expected_calls, case
@@ -72,7 +74,7 @@ def test_criterion_1_offline_loop_invariants(registry):
             assert config.stop_marker in trace.final_feedback.raw, case
 
         # Feedback threading: each refine prompt embeds its feedback verbatim.
-        refine_calls = [c for c in trace.prompt_log if c.stage == "refine"]
+        refine_calls = recorder.stage("refine")
         for step, call in zip(trace.steps, refine_calls):
             assert step.feedback.raw in call.user, case
 

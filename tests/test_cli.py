@@ -103,6 +103,24 @@ def test_summarize_reads_stdin(runner, tmp_path):
     assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize(
+    "from_file, doc_id, expected",
+    [(True, "X", "X"), (True, None, "article"), (False, "X", "X"), (False, None, "stdin")],
+)
+def test_summarize_records_the_document_id(runner, tmp_path, from_file, doc_id, expected):
+    script = write_script(tmp_path / "script.json", QUALITY_SCRIPT)
+    trace_out = tmp_path / "trace.jsonl"
+    args = ["summarize", "--backend", "scripted", "--script", str(script), "--trace-out", str(trace_out)]
+    if from_file:
+        args += ["--doc", str(write_doc(tmp_path))]
+    if doc_id is not None:
+        args += ["--doc-id", doc_id]
+    result = runner.invoke(main, args, input=None if from_file else DOC_TEXT)
+    assert result.exit_code == 0, result.output
+    records = [json.loads(line) for line in trace_out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert {record["document_id"] for record in records} == {expected}
+
+
 def test_summarize_control_requires_topic(runner, tmp_path):
     doc = write_doc(tmp_path)
     result = runner.invoke(main, ["summarize", "--doc", str(doc), "--setting", "control"])
@@ -444,6 +462,18 @@ def _misspelt_manifest_key(tmp_path, manifest):
     manifest["session"]["max_iteration"] = 1
 
 
+def _string_for_bool(tmp_path, manifest):
+    manifest["session"]["strict_parsing"] = "false"
+
+
+def _float_for_int(tmp_path, manifest):
+    manifest["session"]["max_iterations"] = 2.7
+
+
+def _bool_for_int(tmp_path, manifest):
+    manifest["workers"] = True
+
+
 @pytest.mark.parametrize(
     "command, breakage, message",
     [
@@ -453,6 +483,9 @@ def _misspelt_manifest_key(tmp_path, manifest):
         ("run-exp", _prompts_with_wrong_schema, "not a prompt manifest"),
         ("run-exp", _exemplar_without_summary, "summary"),
         ("run-exp", _misspelt_manifest_key, "session.max_iteration"),
+        ("run-exp", _string_for_bool, "strict_parsing"),
+        ("run-exp", _float_for_int, "max_iterations"),
+        ("run-exp", _bool_for_int, "workers"),
     ],
 )
 def test_malformed_inputs_exit_with_config_error(runner, tmp_path, command, breakage, message):

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CONTINUE_BEHAVIORS, STOP, STOPPING_BEHAVIORS, plan_session, random_session_plan
+from helpers import (
+    CONTINUE_BEHAVIORS,
+    STOP,
+    STOPPING_BEHAVIORS,
+    RecordingBackend,
+    plan_session,
+    random_session_plan,
+)
 from summit.backend import ScriptedBackend, ScriptStep
 from summit.errors import BudgetExceeded, ConfigError, ParseError
 from summit.parsing import parse_feedback
@@ -102,8 +109,9 @@ def test_trace_iterations_increase_by_one(registry):
 
 def test_refine_prompt_embeds_feedback_verbatim(registry):
     plan = plan_session(["ops", "stop"], max_iterations=5)
-    trace = run_session(DOC, SessionConfig(), ScriptedBackend(plan.steps), registry)
-    refines = [call for call in trace.prompt_log if call.stage == "refine"]
+    recorder = RecordingBackend(ScriptedBackend(plan.steps))
+    trace = run_session(DOC, SessionConfig(), recorder, registry)
+    refines = recorder.stage("refine")
     assert len(refines) == 1
     assert trace.steps[0].feedback.raw in refines[0].user
     # Conversation memory: the document appears in summarize, never in refine.
@@ -142,9 +150,10 @@ def test_degenerate_document_short_circuits(registry):
 def test_control_setting_threads_topic(registry):
     config = SessionConfig(setting=Setting.CONTROL, topic_query="pier repairs")
     plan = plan_session(["stop"], max_iterations=5)
-    trace = run_session(DOC, config, ScriptedBackend(plan.steps), registry)
-    summarize = trace.prompt_log[0]
-    evaluate = trace.prompt_log[1]
+    recorder = RecordingBackend(ScriptedBackend(plan.steps))
+    run_session(DOC, config, recorder, registry)
+    summarize = recorder.requests[0]
+    evaluate = recorder.requests[1]
     assert "pier repairs" in summarize.user
     assert "pier repairs" in evaluate.user
 
@@ -157,8 +166,9 @@ def test_control_without_topic_rejected():
 def test_faithfulness_setting_renders_triplets_for_both_roles(registry):
     config = SessionConfig(setting=Setting.FAITHFULNESS)
     plan = plan_session(["stop"], max_iterations=5)
-    trace = run_session(DOC, config, ScriptedBackend(plan.steps), registry)
-    summarize, evaluate = trace.prompt_log[0], trace.prompt_log[1]
+    recorder = RecordingBackend(ScriptedBackend(plan.steps))
+    run_session(DOC, config, recorder, registry)
+    summarize, evaluate = recorder.requests[0], recorder.requests[1]
     # The naive extractor finds at least the approval event.
     assert "(" in summarize.user and ";" in summarize.user
     assert "Relationships:" in summarize.user
@@ -202,9 +212,7 @@ def test_step_refine_requires_history(registry):
     from summit.prompting import PromptRole
     from summit.types import Usage
 
-    thread = ChatThread(
-        role=PromptRole.SUMMARIZER, config=SessionConfig(), context={}, usage=Usage(), prompt_log=[]
-    )
+    thread = ChatThread(role=PromptRole.SUMMARIZER, config=SessionConfig(), context={}, usage=Usage())
     with pytest.raises(ValueError):
         step_refine(thread, feedback(), registry, ScriptedBackend([]))
 
@@ -216,29 +224,41 @@ def test_exemplars_are_prepended_per_role(registry):
         exemplars=[Exemplar("Example doc.", "Example sum.", explanation="Good work.")]
     )
     plan = plan_session(["stop"], max_iterations=5)
-    trace = run_session(DOC, config, ScriptedBackend(plan.steps), registry)
-    summarize, evaluate = trace.prompt_log[0], trace.prompt_log[1]
+    recorder = RecordingBackend(ScriptedBackend(plan.steps))
+    run_session(DOC, config, recorder, registry)
+    summarize, evaluate = recorder.requests[0], recorder.requests[1]
     assert "Example doc." in summarize.user
     assert "Good work." not in summarize.user
     assert "Good work." in evaluate.user
 
 
+@pytest.mark.parametrize("setting", list(Setting))
+def test_finished_trace_holds_no_copy_of_the_document(registry, setting):
+    sentinel = "quuxsentinel"
+    doc = Document(id="sentinel-doc", text=f"{DOC.text} The {sentinel} was seen at the pier.")
+    config = SessionConfig(setting=setting, topic_query="pier repairs")
+    plan = plan_session(["ops", "multi", "stop"], max_iterations=5)
+    trace = run_session(doc, config, ScriptedBackend(plan.steps), registry)
+    assert len(trace.steps) == 3
+    assert sentinel not in repr(trace)
+
+
 # --- randomized loop invariants -----------------------------------------------------
 
 
-def _check_invariants(plan, trace, backend, config):
+def _check_invariants(plan, trace, recorder, config):
     assert 1 <= len(trace.steps) <= config.max_iterations
     assert len(trace.steps) == plan.expected_steps
     assert trace.stopped_by.value == plan.expected_stop
-    assert backend.cursor == plan.expected_calls
-    evaluator_calls = sum(1 for c in trace.prompt_log if c.stage == "evaluate")
-    summarizer_calls = sum(1 for c in trace.prompt_log if c.stage in ("summarize", "refine"))
+    assert recorder.inner.cursor == plan.expected_calls
+    evaluator_calls = len(recorder.stage("evaluate"))
+    summarizer_calls = len(recorder.stage("summarize", "refine"))
     assert evaluator_calls <= config.max_iterations
     assert summarizer_calls <= config.max_iterations
     assert [s.summary.iteration for s in trace.steps] == list(range(len(trace.steps)))
     if trace.stopped_by is StopReason.EVALUATOR_STOP:
         assert STOP in trace.final_feedback.raw
-    for step, call in zip(trace.steps[:-1], [c for c in trace.prompt_log if c.stage == "refine"]):
+    for step, call in zip(trace.steps[:-1], recorder.stage("refine")):
         assert step.feedback.raw in call.user
 
 
@@ -253,9 +273,9 @@ def _check_invariants(plan, trace, backend, config):
 def test_loop_invariants_property(registry, behaviors, max_iterations, echo):
     plan = plan_session(behaviors, max_iterations, echo_refine=echo)
     config = SessionConfig(max_iterations=max_iterations)
-    backend = ScriptedBackend(plan.steps)
-    trace = run_session(DOC, config, backend, registry)
-    _check_invariants(plan, trace, backend, config)
+    recorder = RecordingBackend(ScriptedBackend(plan.steps))
+    trace = run_session(DOC, config, recorder, registry)
+    _check_invariants(plan, trace, recorder, config)
 
 
 def test_loop_invariants_seeded_sample(registry):
@@ -263,6 +283,6 @@ def test_loop_invariants_seeded_sample(registry):
     for _ in range(100):
         plan = random_session_plan(rng)
         config = SessionConfig(max_iterations=plan.max_iterations)
-        backend = ScriptedBackend(plan.steps)
-        trace = run_session(DOC, config, backend, registry)
-        _check_invariants(plan, trace, backend, config)
+        recorder = RecordingBackend(ScriptedBackend(plan.steps))
+        trace = run_session(DOC, config, recorder, registry)
+        _check_invariants(plan, trace, recorder, config)
