@@ -17,7 +17,7 @@ import click
 
 from ._version import __version__
 from .backend import BACKEND_MODES, BackendSettings
-from .config import load_config_file, resolve_backend_settings
+from .config import load_config_file, mapping, resolve_backend_settings
 from .corpus import convert_corpus
 from .errors import (
     BackendError,
@@ -34,7 +34,7 @@ from .prompting import DEFAULT_SHOTS
 from .report import build_rows, format_table, write_csv
 from .session import run_session
 from .trace_io import write_trace
-from .types import Decoding, Document, SessionConfig, Setting
+from .types import Document, SessionConfig, Setting
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,8 +88,8 @@ def main():
 @click.option("--exemplars", type=click.Path(exists=True, dir_okay=False), default=None, help="JSONL exemplar file for few-shot prompts.")
 @click.option("--shots", type=int, default=DEFAULT_SHOTS, show_default=True)
 @click.option("--prompts-dir", type=click.Path(exists=True, file_okay=False), default=None, help="Override the packaged prompt templates.")
-@click.option("--temperature", type=float, default=Decoding.temperature, show_default=True)
-@click.option("--max-output-tokens", type=int, default=Decoding.max_output_tokens, show_default=True)
+@click.option("--temperature", type=float, default=SessionConfig.temperature, show_default=True)
+@click.option("--max-output-tokens", type=int, default=SessionConfig.max_output_tokens, show_default=True)
 @click.option("--stop-marker", default=SessionConfig.stop_marker, show_default=True)
 @click.option("--strict", is_flag=True, help="Raise on unparseable evaluator output.")
 @click.option("--token-budget", type=int, default=None, help="Abort the session past this many tokens.")
@@ -110,7 +110,7 @@ def summarize(
     settings = resolve_backend_settings(
         file_config, mode=backend_mode, script=script, cache=cache, base_url=base_url, model=model
     )
-    endpoint = knowledge_endpoint or (file_config.get("knowledge") or {}).get("endpoint")
+    endpoint = knowledge_endpoint or mapping(file_config.get("knowledge"), "knowledge").get("endpoint")
     prompts, exemplar_list, factory, extractor = build_parts(
         settings, prompts_dir, exemplars, shots, endpoint
     )
@@ -120,7 +120,8 @@ def summarize(
         max_iterations=max_iters,
         topic_query=topic,
         exemplars=exemplar_list,
-        decoding=Decoding(temperature=temperature, max_output_tokens=max_output_tokens),
+        temperature=temperature,
+        max_output_tokens=max_output_tokens,
         stop_marker=stop_marker,
         strict_parsing=strict,
         token_budget=token_budget,

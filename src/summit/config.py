@@ -47,6 +47,16 @@ def is_set(value) -> bool:
     return value is not None and value != ""
 
 
+def mapping(value, key: str) -> dict:
+    """``value``, set at ``key``, as a mapping: empty when unset, else a
+    ConfigError naming ``key`` unless it is one."""
+    if not is_set(value):
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, not {type(value).__name__} {value!r}")
+    return value
+
+
 #: The exact value types a bool, int or float field accepts: a bool is
 #: no number here, though Python makes bool a subclass of int.
 _ACCEPTED = {bool: (bool,), int: (int,), float: (int, float)}
@@ -55,17 +65,20 @@ _ACCEPTED = {bool: (bool,), int: (int,), float: (int, float)}
 def coerce(hint, value, base: Path | None = None, key: str = "value"):
     """``value``, set at ``key``, converted to the annotated type ``hint``.
 
-    ``X | None`` converts to ``X``; a relative path resolves against
-    ``base`` when one is given; a nested dataclass is built from a dict.
+    ``X | None`` converts to ``X``; a path is given as a string (or a
+    Path), and a relative one resolves against ``base`` when one is given;
+    a nested dataclass is built from a mapping.
     A bool, int or float field takes only the types ``_ACCEPTED`` names, so
     ``"false"`` is no bool and 2.7 no int (ConfigError naming ``key``).
     """
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
     if hint is Path:
+        if not isinstance(value, (str, Path)):
+            raise ConfigError(f"{key} must be a path string, not {type(value).__name__} {value!r}")
         return (base / value).resolve() if base is not None else Path(value)
     if dataclasses.is_dataclass(hint):
-        return hint(**params_of(hint, value, base))
+        return hint(**params_of(hint, mapping(value, key), base))
     if hint in _ACCEPTED and type(value) not in _ACCEPTED[hint]:
         raise ConfigError(f"{key} must be of type {hint.__name__}, not {type(value).__name__} {value!r}")
     return hint(value)
@@ -92,5 +105,5 @@ def resolve_settings(*sources: Mapping) -> BackendSettings:
 
 def resolve_backend_settings(file_config: dict, **flags) -> BackendSettings:
     """The summarize order: flags > environment > config file > default."""
-    section = file_config.get("backend") or {}
+    section = mapping(file_config.get("backend"), "backend")
     return resolve_settings(flags, environment(), {key: section.get(key) for key in FILE_KEYS})

@@ -64,6 +64,8 @@ def _validate_record(raw: dict, schema: CorpusSchema) -> DatasetRecord:
         topics = tuple(raw.get("topics") or ())
     except (KeyError, TypeError) as exc:
         raise ValueError(f"missing field: {exc}") from exc
+    if rec_id in ("", ".", "..") or "/" in rec_id or "\\" in rec_id:
+        raise ValueError(f"id {rec_id!r} cannot name a trace file")
     if not isinstance(document, str) or not document.strip():
         raise ValueError("document must be a non-empty string")
     if not summaries or not all(isinstance(s, str) and s.strip() for s in summaries):
@@ -116,8 +118,10 @@ def load_corpus(
             except ValueError as exc:
                 errors.append((lineno, str(exc)))
     if strict and errors:
+        lines = ", ".join(str(lineno) for lineno, _ in errors)
         raise SchemaViolation(
-            f"{len(errors)} malformed record(s) in {path}",
+            f"{len(errors)} malformed record(s) in {path} at line(s) {lines}; "
+            f"line {errors[0][0]}: {errors[0][1]}",
             line_numbers=[lineno for lineno, _ in errors],
         )
     return LoadResult(records=records, errors=errors)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import json
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -19,8 +18,8 @@ from typing import Callable, get_type_hints
 
 from . import metrics
 from ._version import __version__
-from .backend import BackendSettings, CompletionBackend, backend_factory
-from .config import coerce, environment, is_set, params_of, resolve_settings
+from .backend import BackendSettings, CompletionBackend, ServedFrom, backend_factory
+from .config import coerce, environment, is_set, mapping, params_of, resolve_settings
 from .corpus import CorpusSchema, DatasetRecord, SampleSpec, Split, load_corpus, sample
 from .errors import ConfigError, SummitError
 from .knowledge import TripletExtractor, build_extractor
@@ -28,7 +27,7 @@ from .metrics import FaithfulnessScorer, aggregate, rouge_l_multi, rouge_n_multi
 from .prompting import DEFAULT_SHOTS, PromptRegistry
 from .session import run_session
 from .trace_io import write_trace
-from .types import Decoding, Document, Exemplar, SessionConfig, SessionTrace, Setting
+from .types import Document, Exemplar, SessionConfig, SessionTrace, Setting, Usage
 
 MANIFEST_SCHEMA = "summit/manifest"
 MANIFEST_VERSION = 1
@@ -44,9 +43,9 @@ def _at(key: str, default=MISSING, secret: bool = False):
     return field(default=default, metadata={"section": section, "key": name, "secret": secret})
 
 
-#: The SessionConfig fields a manifest's session section holds, beside the
-#: Decoding fields flattened into it (exemplars come from exemplars_path).
-_CONFIG_FIELDS = [f for f in fields(SessionConfig) if f.name not in ("exemplars", "decoding")]
+#: The SessionConfig fields a manifest's session section holds (exemplars
+#: come from exemplars_path).
+_CONFIG_FIELDS = [f for f in fields(SessionConfig) if f.name != "exemplars"]
 
 
 @dataclass
@@ -148,9 +147,9 @@ class RunManifest:
         try:
             for f in fields(cls):
                 section, key = f.metadata["section"], f.metadata["key"]
-                source = (data.get(section) or {}) if section else data
+                source = mapping(data.get(section), section) if section else data
                 if f.name == "session_params":
-                    values[f.name] = _session_params(data.get(key) or {})
+                    values[f.name] = params_of(SessionConfig, mapping(data.get(key), key))
                 elif is_set(source.get(key)):
                     values[f.name] = coerce(hints[f.name], source[key], path.parent, key)
             return cls(**values)
@@ -164,7 +163,10 @@ class RunManifest:
             if f.metadata["secret"]:
                 continue
             if f.name == "session_params":
-                out.setdefault(key, {}).update(_session_section(self.session_params))
+                # Every session key; those the params leave out take their defaults.
+                params = self.session_params
+                session = {c.name: _encode(params.get(c.name, c.default)) for c in _CONFIG_FIELDS}
+                out.setdefault(key, {}).update(session)
             elif section:
                 out.setdefault(section, {})[key] = _encode(getattr(self, f.name))
             else:
@@ -185,22 +187,6 @@ def _encode(value):
     if is_dataclass(value):
         return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
     return value
-
-
-def _session_params(section: dict) -> dict:
-    """SessionConfig keyword arguments from the session keys a manifest sets."""
-    params = params_of(SessionConfig, section)
-    decoding = params_of(Decoding, section)
-    if decoding:
-        params["decoding"] = Decoding(**decoding)
-    return params
-
-
-def _session_section(params: dict) -> dict:
-    """Every session key; those ``params`` leaves out take their defaults."""
-    section = {f.name: _encode(params.get(f.name, f.default)) for f in _CONFIG_FIELDS}
-    section.update(_encode(params.get("decoding", Decoding())))
-    return section
 
 
 def _key_paths(data: dict) -> set[str]:
@@ -247,39 +233,10 @@ def estimate_calls(manifest: RunManifest) -> dict:
 
 
 @dataclass
-class DocOutcome:
-    record: DatasetRecord
-    trace: SessionTrace | None = None
-    metrics: dict | None = None
-    error: str | None = None
-
-
-@dataclass
 class ExperimentResult:
     output_dir: Path
     stats: dict
-    calls: dict
     failures: list[dict] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-class _CallCounter:
-    """Wraps a backend to tally where responses were served from. Sessions on
-    every worker thread add to the same ``counts``, under ``lock``."""
-
-    def __init__(self, inner: CompletionBackend, counts: dict, lock: threading.Lock):
-        self.inner = inner
-        self.counts = counts
-        self.lock = lock
-
-    def complete(self, request):
-        response = self.inner.complete(request)
-        with self.lock:
-            self.counts[response.served_from.value] += 1
-        return response
 
 
 def build_parts(
@@ -373,7 +330,10 @@ def run_experiment(
     yes: bool = False,
     acknowledge_peek: bool = False,
 ) -> ExperimentResult:
-    """Process the manifest's sample and write traces + stats to its output dir."""
+    """Process the manifest's sample and write traces + stats to its output dir.
+
+    Each document's trace is written as soon as the document is scored;
+    stats.json and calls.json are written once every document is done."""
     manifest, settings = manifest.resolved()
     prompts, exemplars, factory, extractor = build_parts(
         settings, manifest.prompts_dir, manifest.exemplars_path, manifest.shots,
@@ -390,30 +350,32 @@ def run_experiment(
             "pass --yes to proceed (see the estimate command)"
         )
 
-    loaded = load_corpus(manifest.corpus_path, manifest.corpus_schema)
+    loaded = load_corpus(manifest.corpus_path, manifest.corpus_schema, strict=True)
     records = sample(loaded.records, manifest.sample)
 
-    counts = {"live": 0, "cache": 0, "script": 0}
-    counts_lock = threading.Lock()
     scorer = (
         FaithfulnessScorer(manifest.faithfulness_endpoint)
         if manifest.faithfulness_endpoint
         else None
     )
+    traces = manifest.output_dir / "traces"
+    traces.mkdir(parents=True, exist_ok=True)
 
-    def process(record: DatasetRecord) -> DocOutcome:
+    def process(record: DatasetRecord) -> tuple[Usage, dict | str]:
+        """Run, score and write one document: its usage, and its scores or its error."""
+        usage = Usage()
         topic = _record_topic(record, manifest)
         if manifest.setting is Setting.CONTROL and topic is None:
-            return DocOutcome(record, error="ConfigError: record has no topic to control on")
+            return usage, "ConfigError: record has no topic to control on"
         config = manifest.session_for(topic, exemplars)
         doc = Document(id=record.id, text=record.document)
-        backend = _CallCounter(factory(), counts, counts_lock)
         try:
-            trace = run_session(doc, config, backend, prompts, extractor)
+            trace = run_session(doc, config, factory(), prompts, extractor, usage=usage)
             scores = _doc_metrics(record, trace, manifest, topic, scorer)
         except SummitError as exc:
-            return DocOutcome(record, error=f"{type(exc).__name__}: {exc}")
-        return DocOutcome(record, trace=trace, metrics=scores)
+            return usage, f"{type(exc).__name__}: {exc}"
+        write_trace(trace, traces / f"{record.id}.jsonl")
+        return usage, scores
 
     if manifest.workers == 1 or len(records) <= 1:
         outcomes = [process(r) for r in records]
@@ -421,32 +383,35 @@ def run_experiment(
         with ThreadPoolExecutor(max_workers=manifest.workers) as pool:
             outcomes = list(pool.map(process, records))
 
-    return _write_outputs(manifest, fingerprint, records, outcomes, counts)
+    return _write_outputs(manifest, fingerprint, records, outcomes)
 
 
 def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_outputs(manifest, fingerprint, records, outcomes, counts) -> ExperimentResult:
+def _write_outputs(manifest, fingerprint, records, outcomes) -> ExperimentResult:
+    """stats.json, calls.json, failures.jsonl and the emitted manifest.
+    Call origins count every document's calls; token totals only those of
+    completed documents."""
     outdir = manifest.output_dir
-    (outdir / "traces").mkdir(parents=True, exist_ok=True)
-
     failures = []
+    counts = {origin.value: 0 for origin in ServedFrom}
     usage_total = {"prompt_tokens": 0, "completion_tokens": 0, "cache_hits": 0}
     per_metric: dict[str, dict[str, list[float]]] = {"init": {}, "final": {}}
     iteration_values: list[float] = []
 
-    for outcome in outcomes:
-        if outcome.error is not None:
-            failures.append({"document_id": outcome.record.id, "error": outcome.error})
+    for record, (usage, scores) in zip(records, outcomes):
+        for origin, n in usage.calls.items():
+            counts[origin] += n
+        if isinstance(scores, str):
+            failures.append({"document_id": record.id, "error": scores})
             continue
-        write_trace(outcome.trace, outdir / "traces" / f"{outcome.record.id}.jsonl")
         for key in usage_total:
-            usage_total[key] += getattr(outcome.trace.usage, key)
-        iteration_values.append(float(outcome.metrics["iterations"]))
+            usage_total[key] += getattr(usage, key)
+        iteration_values.append(float(scores["iterations"]))
         for label in ("init", "final"):
-            for metric, value in outcome.metrics[label].items():
+            for metric, value in scores[label].items():
                 per_metric[label].setdefault(metric, []).append(value)
 
     # Everything in stats.json derives from the sample alone, never from the
@@ -486,4 +451,4 @@ def _write_outputs(manifest, fingerprint, records, outcomes, counts) -> Experime
     elif failures_path.exists():
         failures_path.unlink()
 
-    return ExperimentResult(output_dir=outdir, stats=stats, calls=counts, failures=failures)
+    return ExperimentResult(output_dir=outdir, stats=stats, failures=failures)

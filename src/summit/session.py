@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backend import ChatMessage, CompletionBackend, CompletionRequest, Role, ServedFrom
+from .backend import ChatMessage, CompletionBackend, CompletionRequest, Role
 from .errors import BudgetExceeded
 from .knowledge import NaiveExtractor, TripletExtractor, extract_triplets, render_triplets, select_for_prompt
 from .metrics import tokenize
@@ -83,16 +83,15 @@ class ChatThread:
         request = CompletionRequest(
             model_id=self.config.model_id,
             messages=tuple(self.messages),
-            temperature=self.config.decoding.temperature,
-            max_output_tokens=self.config.decoding.max_output_tokens,
+            temperature=self.config.temperature,
+            max_output_tokens=self.config.max_output_tokens,
             request_tag=f"{self.document_id}/{stage.value}/{iteration}",
         )
         response = backend.complete(request)
         self.messages.append(ChatMessage(Role.ASSISTANT, response.text))
         self.usage.prompt_tokens += response.usage.prompt_tokens
         self.usage.completion_tokens += response.usage.completion_tokens
-        if response.served_from is ServedFrom.CACHE:
-            self.usage.cache_hits += 1
+        self.usage.calls[response.served_from.value] += 1
         return response.text
 
 
@@ -145,9 +144,14 @@ def run_session(
     backend: CompletionBackend,
     prompts: PromptRegistry,
     extractor: TripletExtractor | None = None,
+    usage: Usage | None = None,
 ) -> SessionTrace:
-    """Run one full refinement session and return its trace."""
-    usage = Usage()
+    """Run one full refinement session and return its trace.
+
+    Tokens and calls are tallied into ``usage`` when the caller passes one,
+    so they stay readable when the session raises."""
+    if usage is None:
+        usage = Usage()
     base = _base_context(doc, config, extractor)
     summarizer = ChatThread(
         role=PromptRole.SUMMARIZER,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -105,18 +106,6 @@ class Exemplar:
     explanation: str | None = None
 
 
-@dataclass(frozen=True)
-class Decoding:
-    temperature: float = 0.0
-    max_output_tokens: int = 512
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
-        if self.max_output_tokens < 1:
-            raise ConfigError("max_output_tokens must be positive")
-
-
 @dataclass
 class SessionConfig:
     """Everything a refinement session needs beyond the document itself."""
@@ -126,7 +115,8 @@ class SessionConfig:
     max_iterations: int = 5
     topic_query: str | None = None
     exemplars: list[Exemplar] = field(default_factory=list)
-    decoding: Decoding = field(default_factory=Decoding)
+    temperature: float = 0.0
+    max_output_tokens: int = 512
     stop_marker: str = "<STOP>"
     strict_parsing: bool = False
     min_document_tokens: int = 10
@@ -137,6 +127,10 @@ class SessionConfig:
             raise ConfigError("max_iterations must be >= 1")
         if self.setting is Setting.CONTROL and not (self.topic_query or "").strip():
             raise ConfigError("control setting requires a topic_query")
+        if self.temperature < 0:
+            raise ConfigError("temperature must be >= 0")
+        if self.max_output_tokens < 1:
+            raise ConfigError("max_output_tokens must be positive")
         if not self.stop_marker:
             raise ConfigError("stop_marker must be non-empty")
         if self.token_budget is not None and self.token_budget < 1:
@@ -145,11 +139,17 @@ class SessionConfig:
 
 @dataclass
 class Usage:
-    """Token accounting for a session (mutated while the session runs)."""
+    """Token and call accounting for a session (mutated while the session
+    runs). ``calls`` counts the backend's responses by where they were
+    served from, keyed by the ``ServedFrom`` value."""
 
     prompt_tokens: int = 0
     completion_tokens: int = 0
-    cache_hits: int = 0
+    calls: Counter[str] = field(default_factory=Counter)
+
+    @property
+    def cache_hits(self) -> int:
+        return self.calls["cache"]
 
     @property
     def total_tokens(self) -> int:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,10 +10,12 @@ import pytest
 import requests
 from click.testing import CliRunner
 
+import summit.experiment as experiment
 from helpers import QUALITY_SCRIPT, make_corpus_file, write_script
 from summit.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_PARTIAL, main
 from summit.config import resolve_backend_settings
-from summit.experiment import RunManifest
+from summit.experiment import RunManifest, run_experiment
+from summit.trace_io import read_trace
 
 DOC_TEXT = (
     "The harbor council approved emergency repairs on Friday after winter storms "
@@ -229,6 +232,53 @@ def test_run_exp_poison_doc_records_failure(runner, tmp_path):
     stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
     assert stats["run"]["failures"] == 1
     assert stats["metrics"]["final"]["rouge1"]["count"] == 9
+
+
+def test_run_exp_counts_the_calls_of_documents_that_fail(runner, tmp_path):
+    # A budget of one token fails every session right after its first call.
+    n = 4
+    manifest = make_manifest(tmp_path, n=n, token_budget=1)
+    result = runner.invoke(main, ["run-exp", str(manifest)])
+    assert result.exit_code == EXIT_PARTIAL, result.output
+    out = tmp_path / "out"
+    failures = [json.loads(l) for l in (out / "failures.jsonl").read_text().splitlines()]
+    assert len(failures) == n and all("BudgetExceeded" in f["error"] for f in failures)
+    calls = json.loads((out / "calls.json").read_text(encoding="utf-8"))
+    assert calls["calls"] == {"live": 0, "cache": 0, "script": n}
+    assert calls["usage"] == {"prompt_tokens": 0, "completion_tokens": 0, "cache_hits": 0}
+
+
+def test_finished_traces_survive_a_later_crash(tmp_path, monkeypatch):
+    path = make_manifest(tmp_path, n=5)
+    manifest = dataclasses.replace(RunManifest.from_file(path), workers=1)
+    finished = []
+    real_run_session = experiment.run_session
+
+    def crash_on_the_third_document(doc, *args, **kwargs):
+        if len(finished) == 2:
+            raise RuntimeError("worker crashed")
+        finished.append(doc.id)
+        return real_run_session(doc, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_session", crash_on_the_third_document)
+    with pytest.raises(RuntimeError):
+        run_experiment(manifest)
+    traces = tmp_path / "out" / "traces"
+    assert sorted(p.stem for p in traces.glob("*.jsonl")) == sorted(finished)
+    for doc_id in finished:
+        assert read_trace(traces / f"{doc_id}.jsonl")[-1].stopped_by.value == "evaluator_stop"
+
+
+def test_run_exp_rejects_a_corpus_with_a_torn_line(runner, tmp_path):
+    records = make_corpus_file(tmp_path / "corpus.jsonl", 6)
+    lines = (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    lines[3] = lines[3][: len(lines[3]) // 2]  # line 4: the third record, cut short
+    (tmp_path / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest = make_manifest(tmp_path, n=5, corpus_records=records)
+    result = runner.invoke(main, ["run-exp", str(manifest)])
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert "line(s) 4" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_replay_reproduces_stats_with_zero_live_calls(runner, tmp_path):
@@ -474,6 +524,17 @@ def _bool_for_int(tmp_path, manifest):
     manifest["workers"] = True
 
 
+def _section_not_a_mapping(tmp_path, manifest):
+    manifest["backend"] = [1]
+
+
+def _config_file(text):
+    def write(tmp_path, manifest):
+        (tmp_path / "config.yaml").write_text(text, encoding="utf-8")
+
+    return write
+
+
 @pytest.mark.parametrize(
     "command, breakage, message",
     [
@@ -486,6 +547,10 @@ def _bool_for_int(tmp_path, manifest):
         ("run-exp", _string_for_bool, "strict_parsing"),
         ("run-exp", _float_for_int, "max_iterations"),
         ("run-exp", _bool_for_int, "workers"),
+        ("run-exp", _section_not_a_mapping, "backend must be a mapping"),
+        ("summarize", _config_file("backend: [1]\n"), "backend must be a mapping"),
+        ("summarize", _config_file("knowledge: 3\n"), "knowledge must be a mapping"),
+        ("summarize", _config_file("backend: {cache: 5}\n"), "cache must be a path string"),
     ],
 )
 def test_malformed_inputs_exit_with_config_error(runner, tmp_path, command, breakage, message):
@@ -498,6 +563,8 @@ def test_malformed_inputs_exit_with_config_error(runner, tmp_path, command, brea
     else:
         script = str(tmp_path / "script.json")
         args = ["summarize", "--doc", str(write_doc(tmp_path)), "--backend", "scripted", "--script", script]
+        if (tmp_path / "config.yaml").exists():
+            args += ["--config", str(tmp_path / "config.yaml")]
     result = runner.invoke(main, args)
     assert result.exit_code == EXIT_CONFIG, result.output
     assert message in result.output

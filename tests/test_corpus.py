@@ -95,6 +95,14 @@ def test_generic_schema_caps_topics(tmp_path):
     assert result.records == []
 
 
+@pytest.mark.parametrize("bad_id", ["", ".", "..", "../escaped", "sub/dir", "back\\slash"])
+def test_ids_that_cannot_name_a_trace_file_are_rejected(tmp_path, bad_id):
+    bad = json.dumps({"id": bad_id, "document": "doc", "summaries": ["s"]})
+    result = load_corpus(write_lines(tmp_path / "c.jsonl", [GOOD, bad]))
+    assert [r.id for r in result.records] == ["a"]
+    assert result.errors == [(2, f"id {bad_id!r} cannot name a trace file")]
+
+
 # --- sampling -----------------------------------------------------------------
 
 
