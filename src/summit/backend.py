@@ -15,6 +15,7 @@ import json
 import re
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -47,11 +48,25 @@ class ServedFrom(enum.Enum):
 
 @dataclass(frozen=True)
 class ChatMessage:
+    """One turn of a chat. A thread resends all its messages on every call,
+    so what a call needs from a message is computed once and kept in the
+    instance ``__dict__``; equality and hashing see only the fields."""
+
     role: Role
     content: str
 
     def to_wire(self) -> dict:
         return {"role": self.role.value, "content": self.content}
+
+    @cached_property
+    def tokens(self) -> int:
+        """``estimate_tokens`` of the content."""
+        return estimate_tokens(self.content)
+
+    @cached_property
+    def key_fragment(self) -> bytes:
+        """This message's element of the messages array ``cache_key`` hashes."""
+        return _canonical([self.role.value, self.content])
 
 
 @dataclass(frozen=True)
@@ -93,23 +108,24 @@ class CompletionBackend(Protocol):
     def complete(self, request: CompletionRequest) -> CompletionResponse: ...
 
 
+def _canonical(value) -> bytes:
+    return json.dumps(value, ensure_ascii=True, separators=(",", ":")).encode("ascii")
+
+
 def cache_key(request: CompletionRequest) -> str:
     """SHA-256 over content that determines the completion.
 
+    The hashed bytes are the compact, key-sorted, ASCII-escaped JSON of
+    ``{"max_output_tokens", "messages", "model", "temperature"}``, with each
+    message as ``[role, content]``. Sorted keys put ``messages`` second, so
+    the bytes are assembled from the scalars around each message's memoized
+    ``key_fragment`` and a call costs only its new messages' encoding.
     ``request_tag`` is deliberately excluded so identical content collides.
     """
-    canonical = json.dumps(
-        {
-            "model": request.model_id,
-            "temperature": float(request.temperature),
-            "max_output_tokens": request.max_output_tokens,
-            "messages": [[m.role.value, m.content] for m in request.messages],
-        },
-        sort_keys=True,
-        ensure_ascii=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    head = b'{"max_output_tokens":%s,"messages":[' % _canonical(request.max_output_tokens)
+    tail = b'],"model":%s,"temperature":%s}' % (_canonical(request.model_id), _canonical(float(request.temperature)))
+    messages = b",".join(m.key_fragment for m in request.messages)
+    return hashlib.sha256(head + messages + tail).hexdigest()
 
 
 def _request_summary(request: CompletionRequest) -> dict:
@@ -252,7 +268,7 @@ class ScriptedBackend:
                 f"user message (tag={request.request_tag!r})"
             )
         self.cursor += 1
-        prompt_tokens = sum(estimate_tokens(m.content) for m in request.messages)
+        prompt_tokens = sum(m.tokens for m in request.messages)
         return CompletionResponse(
             text=step.response,
             usage=TokenUsage(prompt_tokens, estimate_tokens(step.response)),
@@ -367,10 +383,10 @@ class BackendSettings:
             raise ConfigError("replay mode requires a cache path")
 
 
-def backend_factory(settings: BackendSettings) -> Callable[[], CompletionBackend]:
+def backend_factory(settings: BackendSettings, cache: ResponseCache | None) -> Callable[[], CompletionBackend]:
     """A function giving each session its backend: a fresh cursor per
-    scripted session (scripts are positional), one shared live or replay one."""
-    cache = ResponseCache(settings.cache) if settings.cache else None
+    scripted session (scripts are positional), one shared live or replay one.
+    ``cache`` is the loaded cache at ``settings.cache``; the caller closes it."""
     if settings.mode == "scripted":
         steps = load_script(settings.script)
         if cache is None:

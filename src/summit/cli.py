@@ -111,7 +111,7 @@ def summarize(
         file_config, mode=backend_mode, script=script, cache=cache, base_url=base_url, model=model
     )
     endpoint = knowledge_endpoint or mapping(file_config.get("knowledge"), "knowledge").get("endpoint")
-    prompts, exemplar_list, factory, extractor = build_parts(
+    prompts, exemplar_list, factory, extractor, response_cache = build_parts(
         settings, prompts_dir, exemplars, shots, endpoint
     )
     config = SessionConfig(
@@ -127,7 +127,11 @@ def summarize(
         token_budget=token_budget,
     )
     document = Document(id=doc_id or (Path(doc).stem if doc else "stdin"), text=text)
-    trace = run_session(document, config, factory(), prompts, extractor)
+    try:
+        trace = run_session(document, config, factory(), prompts, extractor)
+    finally:
+        if response_cache is not None:
+            response_cache.close()
     if trace_out:
         write_trace(trace, trace_out)
         click.echo(f"trace written to {trace_out}", err=True)

@@ -19,6 +19,7 @@ from typing import Callable, get_type_hints
 from . import metrics
 from ._version import __version__
 from .backend import BackendSettings, CompletionBackend, ServedFrom, backend_factory
+from .cache import ResponseCache
 from .config import coerce, environment, is_set, mapping, params_of, resolve_settings
 from .corpus import CorpusSchema, DatasetRecord, SampleSpec, Split, load_corpus, sample
 from .errors import ConfigError, SummitError
@@ -246,18 +247,21 @@ def build_parts(
     shots: int = DEFAULT_SHOTS,
     knowledge_endpoint: str | None = None,
     knowledge_fallback: bool = True,
-) -> tuple[PromptRegistry, list[Exemplar], Callable[[], CompletionBackend], TripletExtractor | None]:
-    """The prompts, exemplars, per-session backend factory and triplet
-    extractor of a run. ``summarize`` and ``run_experiment`` both build here,
-    so a malformed prompt manifest, exemplar, script or cache file is a
-    ConfigError for both."""
+) -> tuple[
+    PromptRegistry, list[Exemplar], Callable[[], CompletionBackend], TripletExtractor | None, ResponseCache | None
+]:
+    """The prompts, exemplars, per-session backend factory, triplet extractor
+    and response cache of a run; the caller closes the cache. ``summarize``
+    and ``run_experiment`` both build here, so a malformed prompt manifest,
+    exemplar, script or cache file is a ConfigError for both."""
     try:
         prompts = PromptRegistry.load(prompts_dir)
         exemplars = load_exemplars(exemplars_path, shots) if exemplars_path else []
-        factory = backend_factory(settings)
+        cache = ResponseCache(settings.cache) if settings.cache else None
+        factory = backend_factory(settings, cache)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid input file ({type(exc).__name__}): {exc}") from exc
-    return prompts, exemplars, factory, build_extractor(knowledge_endpoint, knowledge_fallback)
+    return prompts, exemplars, factory, build_extractor(knowledge_endpoint, knowledge_fallback), cache
 
 
 def _scoring_references(record: DatasetRecord, manifest: RunManifest) -> list[str]:
@@ -335,7 +339,7 @@ def run_experiment(
     Each document's trace is written as soon as the document is scored;
     stats.json and calls.json are written once every document is done."""
     manifest, settings = manifest.resolved()
-    prompts, exemplars, factory, extractor = build_parts(
+    prompts, exemplars, factory, extractor, cache = build_parts(
         settings, manifest.prompts_dir, manifest.exemplars_path, manifest.shots,
         manifest.knowledge_endpoint, manifest.knowledge_fallback,
     )
@@ -359,7 +363,10 @@ def run_experiment(
         else None
     )
     traces = manifest.output_dir / "traces"
-    traces.mkdir(parents=True, exist_ok=True)
+    try:
+        traces.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"cannot make the traces directory {traces}: a file is in its path") from None
 
     def process(record: DatasetRecord) -> tuple[Usage, dict | str]:
         """Run, score and write one document: its usage, and its scores or its error."""
@@ -372,16 +379,22 @@ def run_experiment(
         try:
             trace = run_session(doc, config, factory(), prompts, extractor, usage=usage)
             scores = _doc_metrics(record, trace, manifest, topic, scorer)
+        except ConfigError:
+            raise  # the whole run is misconfigured (e.g. its cache file is taken)
         except SummitError as exc:
             return usage, f"{type(exc).__name__}: {exc}"
         write_trace(trace, traces / f"{record.id}.jsonl")
         return usage, scores
 
-    if manifest.workers == 1 or len(records) <= 1:
-        outcomes = [process(r) for r in records]
-    else:
-        with ThreadPoolExecutor(max_workers=manifest.workers) as pool:
-            outcomes = list(pool.map(process, records))
+    try:
+        if manifest.workers == 1 or len(records) <= 1:
+            outcomes = [process(r) for r in records]
+        else:
+            with ThreadPoolExecutor(max_workers=manifest.workers) as pool:
+                outcomes = list(pool.map(process, records))
+    finally:
+        if cache is not None:
+            cache.close()  # only sessions write to it
 
     return _write_outputs(manifest, fingerprint, records, outcomes)
 

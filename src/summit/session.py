@@ -5,6 +5,7 @@ backend until the evaluator asks to stop, its feedback is keep-only, or the
 iteration budget runs out. The summarizer and evaluator each hold their own
 full chat history (system prompt plus all prior turns), so refine prompts
 never re-embed the document and re-evaluations see the revision history.
+Every evaluate prompt embeds the document again.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ and fixture corpus builders."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from dataclasses import dataclass
@@ -66,6 +67,25 @@ def lcs_dp_oracle(a: list[str], b: list[str]) -> int:
                 curr.append(max(prev[j], curr[j - 1]))
         prev = curr
     return prev[-1]
+
+
+# --- cache-key oracle ---------------------------------------------------------
+
+
+def cache_key_oracle(request: CompletionRequest) -> str:
+    """SHA-256 of the whole request serialized in one ``json.dumps`` call."""
+    canonical = json.dumps(
+        {
+            "model": request.model_id,
+            "temperature": float(request.temperature),
+            "max_output_tokens": request.max_output_tokens,
+            "messages": [[m.role.value, m.content] for m in request.messages],
+        },
+        sort_keys=True,
+        ensure_ascii=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # --- scripted session generation ---------------------------------------------

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
+import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import write_script
+from helpers import cache_key_oracle, write_script
 from summit.backend import (
     CachedBackend,
     ChatMessage,
@@ -16,10 +21,11 @@ from summit.backend import (
     ScriptStep,
     ServedFrom,
     cache_key,
+    estimate_tokens,
     load_script,
 )
 from summit.cache import ResponseCache
-from summit.errors import AuthError, ReplayMiss, ScriptExhausted, ScriptMismatch, TransportError
+from summit.errors import AuthError, ConfigError, ReplayMiss, ScriptExhausted, ScriptMismatch, TransportError
 
 
 def make_request(content="hello", tag="t1", system="sys", temperature=0.0):
@@ -88,6 +94,49 @@ def test_cache_key_sensitive_to_message_order():
     req_ba = CompletionRequest("m", (m1, b, a), 0.0, 10)
     assert cache_key(req_ab) != cache_key(req_ba)
     assert cache_key(req_ab) == cache_key(CompletionRequest("m", (m1, a, b), 0.0, 10))
+
+
+#: Content that stresses the JSON escaping: quotes, backslashes, control
+#: characters, non-ASCII text and lone surrogates, among any other character.
+_content = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\u2028", "é", "漢", "😀", " "]),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=40,
+)
+
+
+@st.composite
+def _requests(draw) -> CompletionRequest:
+    system = ChatMessage(Role.SYSTEM, draw(_content))
+    rest = draw(st.lists(st.builds(ChatMessage, st.sampled_from(Role), _content), max_size=5))
+    return CompletionRequest(
+        model_id=draw(st.one_of(st.text(max_size=20), st.sampled_from(['"messages":[]', 'm","messages":[["user"']))),
+        messages=(system, *rest),
+        temperature=draw(st.one_of(st.integers(-3, 3), st.floats())),
+        max_output_tokens=draw(st.integers()),
+        request_tag=draw(st.text(max_size=5)),
+    )
+
+
+@given(_requests())
+def test_cache_key_matches_the_one_call_serialization(request):
+    assert cache_key(request) == cache_key_oracle(request)
+    assert cache_key(request) == cache_key_oracle(request)  # again, from the filled memos
+    response = ScriptedBackend([ScriptStep(response="r")]).complete(request)
+    assert response.usage.prompt_tokens == sum(estimate_tokens(m.content) for m in request.messages)
+
+
+def test_memoized_message_equals_and_hashes_like_a_fresh_one():
+    used = ChatMessage(Role.USER, "two words")
+    assert (used.tokens, used.key_fragment) == (2, b'["user","two words"]')
+    fresh = ChatMessage(Role.USER, "two words")
+    assert "tokens" in vars(used) and "tokens" not in vars(fresh)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert {fresh: "found"}[used] == "found"
+    assert repr(used) == repr(fresh)
 
 
 # --- live client --------------------------------------------------------------
@@ -232,6 +281,7 @@ def test_cache_persists_across_instances(tmp_path):
     cache = ResponseCache(path)
     backend = CachedBackend(ScriptedBackend([ScriptStep(response="persisted")]), cache)
     backend.complete(make_request("q"))
+    cache.close()
 
     fresh = ResponseCache(path)
     replay = ReplayBackend(fresh)
@@ -244,6 +294,7 @@ def test_cache_file_has_versioned_header(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResponseCache(path)
     cache.put("k", {"model": "m"}, {"text": "x", "usage": {}})
+    cache.close()
     header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
     assert header == {"schema": "summit/cache", "version": 1}
 
@@ -252,10 +303,52 @@ def test_cache_tolerates_torn_tail(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResponseCache(path)
     cache.put("k", {}, {"text": "x", "usage": {}})
+    cache.close()
     with path.open("a", encoding="utf-8") as fh:
         fh.write('{"key": "half')
     reloaded = ResponseCache(path)
     assert reloaded.get("k") == {"text": "x", "usage": {}}
+
+
+def test_second_writer_is_refused_until_the_first_closes(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    first, second = ResponseCache(path), ResponseCache(path)
+    first.put("a", {}, {"text": "x", "usage": {}})
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        second.put("b", {}, {"text": "y", "usage": {}})
+    assert second.get("b") is None
+    first.close()
+    second.put("b", {}, {"text": "y", "usage": {}})
+    second.close()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line).get("key") for line in lines] == [None, "a", "b"]
+
+
+def test_threads_share_one_append_handle(tmp_path):
+    # More writers than cores and frequent thread switches: an interleaved or
+    # lost line would show as a malformed record or a short count.
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+
+    def write(prefix: str) -> None:
+        for i in range(50):
+            cache.put(f"{prefix}{i}", {}, {"text": prefix * 200, "usage": {}})
+
+    threads = [threading.Thread(target=write, args=(p,)) for p in "abcd"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        cache.close()
+    assert not any(thread.is_alive() for thread in threads)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 201
+    assert len({json.loads(line)["key"] for line in lines[1:]}) == 200
 
 
 def test_replay_miss_is_an_error():

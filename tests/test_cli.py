@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import summit.experiment as experiment
 from helpers import QUALITY_SCRIPT, make_corpus_file, write_script
+from summit.cache import ResponseCache
 from summit.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_PARTIAL, main
 from summit.config import resolve_backend_settings
 from summit.experiment import RunManifest, run_experiment
@@ -409,6 +410,30 @@ def test_run_exp_writes_a_header_into_an_empty_cache_file(runner, tmp_path):
     calls = json.loads((tmp_path / "again" / "calls.json").read_text(encoding="utf-8"))
     assert calls["calls"]["script"] == 0
     assert calls["calls"]["cache"] > 0
+
+
+@pytest.mark.parametrize("blocker", ["out", "out/traces"])
+def test_run_exp_into_a_path_that_is_a_file_is_a_config_error(runner, tmp_path, blocker):
+    manifest = make_manifest(tmp_path, n=2)
+    (tmp_path / blocker).parent.mkdir(parents=True, exist_ok=True)
+    (tmp_path / blocker).write_text("not a directory", encoding="utf-8")
+    result = runner.invoke(main, ["run-exp", str(manifest), "--out", str(tmp_path / "out")])
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert str(tmp_path / "out") in result.output
+
+
+def test_run_exp_refuses_a_cache_that_another_writer_holds(runner, tmp_path):
+    manifest = make_manifest(tmp_path, n=3)
+    holder = ResponseCache(tmp_path / "cache.jsonl")
+    holder.put("k", {}, {"text": "x", "usage": {}})
+    try:
+        refused = runner.invoke(main, ["run-exp", str(manifest)])
+    finally:
+        holder.close()
+    assert refused.exit_code == EXIT_CONFIG, refused.output
+    assert str(tmp_path / "cache.jsonl") in refused.output
+    result = runner.invoke(main, ["run-exp", str(manifest)])
+    assert result.exit_code == 0, result.output
 
 
 class _FakeResponse:
