@@ -5,9 +5,9 @@ followed by one JSON record per line: ``{"key", "request", "response"}``.
 The whole file is loaded at startup (last record wins per key) and every
 write is appended and flushed immediately, so a cache file doubles as a
 replay log for an entire experiment. A writer holds one append handle, with
-an exclusive lock on the file, from its first write until ``close()``; a
-second writer is refused rather than left to interleave lines. Reading
-takes no lock.
+an exclusive lock on the file, from ``claim()`` or its first write until
+``close()``; a second writer is refused rather than left to interleave
+lines. Reading takes no lock.
 """
 
 from __future__ import annotations
@@ -80,6 +80,14 @@ class ResponseCache:
                 )
                 self._fh.flush()
             self._entries[key] = response
+
+    def claim(self) -> None:
+        """Take the append handle and its lock now rather than at the first
+        put, so a file another writer holds is refused (ConfigError) before
+        any work is done that the cache could not keep."""
+        with self._lock:
+            if self.path is not None and self._fh is None:
+                self._fh = self._open_for_append()
 
     def _open_for_append(self) -> TextIO:
         self.path.parent.mkdir(parents=True, exist_ok=True)

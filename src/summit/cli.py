@@ -18,7 +18,7 @@ import click
 from ._version import __version__
 from .backend import BACKEND_MODES, BackendSettings
 from .config import load_config_file, mapping, resolve_backend_settings
-from .corpus import convert_corpus
+from .corpus import CONVERT_FORMATS, convert_corpus
 from .errors import (
     BackendError,
     BudgetExceeded,
@@ -29,7 +29,7 @@ from .errors import (
     SchemaViolation,
     SummitError,
 )
-from .experiment import RunManifest, build_parts, estimate_calls, run_experiment
+from .experiment import RunManifest, build_parts, claim_cache, estimate_calls, run_experiment
 from .prompting import DEFAULT_SHOTS
 from .report import build_rows, format_table, write_csv
 from .session import run_session
@@ -80,7 +80,7 @@ def main():
 @click.option("--max-iters", type=int, default=SessionConfig.max_iterations, show_default=True)
 @click.option("--model", default=None, help="Model id (default: SUMMIT_MODEL or config).")
 @click.option("--trace-out", type=click.Path(dir_okay=False), default=None, help="Write the session trace here.")
-@click.option("--backend", "backend_mode", type=click.Choice(BACKEND_MODES), default=BackendSettings.mode, show_default=True)
+@click.option("--backend", "mode", type=click.Choice(BACKEND_MODES), default=BackendSettings.mode, show_default=True)
 @click.option("--script", type=click.Path(exists=True, dir_okay=False), default=None, help="Script file for --backend scripted.")
 @click.option("--cache", default=None, help="Response cache file.")
 @click.option("--base-url", default=None, help="Chat-completions base URL.")
@@ -96,7 +96,7 @@ def main():
 @click.option("--knowledge-endpoint", default=None, help="Remote triplet extractor for --setting faithfulness.")
 @_handle_errors
 def summarize(
-    doc, doc_id, setting, topic, max_iters, model, trace_out, backend_mode, script,
+    doc, doc_id, setting, topic, max_iters, model, trace_out, mode, script,
     cache, base_url, config_path, exemplars, shots, prompts_dir, temperature,
     max_output_tokens, stop_marker, strict, token_budget, knowledge_endpoint,
 ):
@@ -108,7 +108,7 @@ def summarize(
         raise ConfigError("document is empty")
     file_config = load_config_file(config_path)
     settings = resolve_backend_settings(
-        file_config, mode=backend_mode, script=script, cache=cache, base_url=base_url, model=model
+        file_config, mode=mode, script=script, cache=cache, base_url=base_url, model=model
     )
     endpoint = knowledge_endpoint or mapping(file_config.get("knowledge"), "knowledge").get("endpoint")
     prompts, exemplar_list, factory, extractor, response_cache = build_parts(
@@ -128,6 +128,7 @@ def summarize(
     )
     document = Document(id=doc_id or (Path(doc).stem if doc else "stdin"), text=text)
     try:
+        claim_cache(settings, response_cache)
         trace = run_session(document, config, factory(), prompts, extractor)
     finally:
         if response_cache is not None:
@@ -142,7 +143,7 @@ def _load_manifest(manifest_path, mode, out, workers):
     manifest = RunManifest.from_file(manifest_path)
     changes = {}
     if mode:
-        changes["backend_mode"] = mode
+        changes["backend"] = dataclasses.replace(manifest.backend, mode=mode)
     if out:
         changes["output_dir"] = Path(out).resolve()
     if workers:
@@ -214,7 +215,7 @@ def estimate(manifest_path):
 @main.command()
 @click.argument("source", type=click.Path(exists=True, dir_okay=False))
 @click.argument("dest", type=click.Path(dir_okay=False))
-@click.option("--format", "source_format", type=click.Choice(["xsum", "cnn_dm", "newts"]), required=True)
+@click.option("--format", "source_format", type=click.Choice(list(CONVERT_FORMATS)), required=True)
 @_handle_errors
 def convert(source, dest, source_format):
     """Convert a public-release JSONL file into the canonical corpus format."""

@@ -80,6 +80,43 @@ def _validate_record(raw: dict, schema: CorpusSchema) -> DatasetRecord:
     return DatasetRecord(id=rec_id, document=document, summaries=summaries, topics=topics)
 
 
+def _read_records(fh, to_record) -> LoadResult:
+    """The records of the JSON lines in ``fh``, and (line_number, message)
+    for each line that is malformed, fails validation or repeats an id.
+    ``to_record(raw, lineno)`` validates one parsed line; None skips it."""
+    records: list[DatasetRecord] = []
+    errors: list[tuple[int, str]] = []
+    seen_ids: set[str] = set()
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+        except ValueError as exc:
+            errors.append((lineno, f"invalid JSON: {exc}"))
+            continue
+        try:
+            record = to_record(raw, lineno)
+            if record is None:
+                continue
+            if record.id in seen_ids:
+                raise ValueError(f"duplicate id {record.id!r}")
+            seen_ids.add(record.id)
+            records.append(record)
+        except ValueError as exc:
+            errors.append((lineno, str(exc)))
+    return LoadResult(records=records, errors=errors)
+
+
+def _violation(path, errors: list[tuple[int, str]]) -> SchemaViolation:
+    lines = ", ".join(str(lineno) for lineno, _ in errors)
+    return SchemaViolation(
+        f"{len(errors)} malformed record(s) in {path} at line(s) {lines}; "
+        f"line {errors[0][0]}: {errors[0][1]}",
+        line_numbers=[lineno for lineno, _ in errors],
+    )
+
+
 def load_corpus(
     path: str | Path,
     schema: CorpusSchema = CorpusSchema.GENERIC,
@@ -93,38 +130,19 @@ def load_corpus(
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    records: list[DatasetRecord] = []
-    errors: list[tuple[int, str]] = []
-    seen_ids: set[str] = set()
+
+    def to_record(raw, lineno: int) -> DatasetRecord | None:
+        if lineno == 1 and isinstance(raw, dict) and raw.get("schema") == CORPUS_SCHEMA:
+            if raw.get("version") != CORPUS_VERSION:
+                raise SchemaViolation(f"unsupported corpus version {raw.get('version')!r}")
+            return None
+        return _validate_record(raw, schema)
+
     with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except ValueError as exc:
-                errors.append((lineno, f"invalid JSON: {exc}"))
-                continue
-            if lineno == 1 and isinstance(raw, dict) and raw.get("schema") == CORPUS_SCHEMA:
-                if raw.get("version") != CORPUS_VERSION:
-                    raise SchemaViolation(f"unsupported corpus version {raw.get('version')!r}")
-                continue
-            try:
-                record = _validate_record(raw, schema)
-                if record.id in seen_ids:
-                    raise ValueError(f"duplicate id {record.id!r}")
-                seen_ids.add(record.id)
-                records.append(record)
-            except ValueError as exc:
-                errors.append((lineno, str(exc)))
-    if strict and errors:
-        lines = ", ".join(str(lineno) for lineno, _ in errors)
-        raise SchemaViolation(
-            f"{len(errors)} malformed record(s) in {path} at line(s) {lines}; "
-            f"line {errors[0][0]}: {errors[0][1]}",
-            line_numbers=[lineno for lineno, _ in errors],
-        )
-    return LoadResult(records=records, errors=errors)
+        loaded = _read_records(fh, to_record)
+    if strict and loaded.errors:
+        raise _violation(path, loaded.errors)
+    return loaded
 
 
 def write_corpus(records: list[DatasetRecord], path: str | Path) -> None:
@@ -183,61 +201,42 @@ def word_stats(records: list[DatasetRecord]) -> WordStats:
 
 # --- conversion from public release shapes ----------------------------------
 
-_CONVERTERS = {}
-
-
-def _converter(name):
-    def register(fn):
-        _CONVERTERS[name] = fn
-        return fn
-
-    return register
-
-
-@_converter("xsum")
-def _convert_xsum(raw: dict, lineno: int) -> DatasetRecord:
-    return DatasetRecord(
-        id=str(raw.get("id", lineno)),
-        document=raw["document"],
-        summaries=(raw["summary"],),
-    )
-
-
-@_converter("cnn_dm")
-def _convert_cnn_dm(raw: dict, lineno: int) -> DatasetRecord:
-    return DatasetRecord(
-        id=str(raw.get("id", lineno)),
-        document=raw["article"],
-        summaries=(raw["highlights"],),
-    )
-
-
-@_converter("newts")
-def _convert_newts(raw: dict, lineno: int) -> DatasetRecord:
-    return DatasetRecord(
-        id=str(raw.get("id", lineno)),
-        document=raw["article"],
-        summaries=(raw["summary1"], raw["summary2"]),
-        topics=(raw["topic1"], raw["topic2"]),
-    )
+#: The source keys of each public release format that become a record's
+#: (document, summaries, topics); a record's id is its ``id``, else its line number.
+CONVERT_FORMATS = {
+    "xsum": ("document", ("summary",), ()),
+    "cnn_dm": ("article", ("highlights",), ()),
+    "newts": ("article", ("summary1", "summary2"), ("topic1", "topic2")),
+}
 
 
 def convert_corpus(source: str | Path, dest: str | Path, source_format: str) -> int:
-    """Convert a JSONL release file into the canonical corpus format.
-
-    Supported source formats: ``xsum`` ({id, document, summary}), ``cnn_dm``
-    ({id, article, highlights}), ``newts`` ({id, article, summary1, summary2,
-    topic1, topic2}). Returns the number of converted records.
-    """
+    """Convert a JSONL release file into the canonical corpus format and
+    return the number of records. Each record must pass the rules
+    ``load_corpus`` applies; a line that does not is a SchemaViolation
+    naming it, and nothing is written."""
     try:
-        convert = _CONVERTERS[source_format]
+        document_key, summary_keys, topic_keys = CONVERT_FORMATS[source_format]
     except KeyError:
         raise ValueError(f"unknown source format {source_format!r}") from None
-    records = []
+
+    def to_record(raw, lineno: int) -> DatasetRecord:
+        try:
+            canonical = {
+                "id": raw.get("id", lineno),
+                "document": raw[document_key],
+                "summaries": [raw[key] for key in summary_keys],
+                "topics": [raw[key] for key in topic_keys],
+            }
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"missing field: {exc}") from exc
+        return _validate_record(canonical, CorpusSchema.GENERIC)
+
     with Path(source).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            records.append(convert(json.loads(line), lineno))
-    write_corpus(records, dest)
-    return len(records)
+        loaded = _read_records(fh, to_record)
+    if loaded.errors:
+        raise _violation(source, loaded.errors)
+    if not loaded.records:
+        raise SchemaViolation(f"no records in {source}")
+    write_corpus(loaded.records, dest)
+    return len(loaded.records)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, get_type_hints
 
@@ -37,11 +37,11 @@ STATS_VERSION = 1
 CALLS_SCHEMA = "summit/calls"
 
 
-def _at(key: str, default=MISSING, secret: bool = False):
+def _at(key: str, default=MISSING, default_factory=MISSING):
     """A RunManifest field stored at ``key`` in the manifest JSON: either
-    "section.name" or a top-level name. A secret is read but never written."""
+    "section.name" or a top-level name."""
     section, _, name = key.rpartition(".")
-    return field(default=default, metadata={"section": section, "key": name, "secret": secret})
+    return field(default=default, default_factory=default_factory, metadata={"section": section, "key": name})
 
 
 #: The SessionConfig fields a manifest's session section holds (exemplars
@@ -63,14 +63,7 @@ class RunManifest:
     session_params: dict = _at("session")
     output_dir: Path = _at("output_dir")
     corpus_schema: CorpusSchema = _at("corpus.schema", CorpusSchema.GENERIC)
-    backend_mode: str = _at("backend.mode", BackendSettings.mode)
-    script_path: Path | None = _at("backend.script", None)
-    base_url: str | None = _at("backend.base_url", None)
-    api_key: str = _at("backend.api_key", BackendSettings.api_key, secret=True)
-    cache_path: Path | None = _at("backend.cache", None)
-    rpm: int | None = _at("backend.rpm", None)
-    timeout: float = _at("backend.timeout", BackendSettings.timeout)
-    max_attempts: int = _at("backend.max_attempts", BackendSettings.max_attempts)
+    backend: BackendSettings = _at("backend", default_factory=BackendSettings)
     workers: int = _at("workers", 4)
     topic_index: int = _at("session.topic_index", 0)
     exemplars_path: Path | None = _at("session.exemplars_path", None)
@@ -83,7 +76,6 @@ class RunManifest:
     def __post_init__(self):
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        resolve_settings(self._backend_values())  # validates the mode and what it needs
         # Validate the non-topic template knobs early; control runs may defer
         # the topic itself to per-record data.
         try:
@@ -114,19 +106,14 @@ class RunManifest:
             params["exemplars"] = exemplars
         return SessionConfig(**params)
 
-    def _backend_values(self) -> dict:
-        """The backend settings this manifest sets, by BackendSettings field name."""
-        values = {f.metadata["key"]: getattr(self, f.name) for f in _BACKEND_FIELDS}
-        values["model"] = self.session_params.get("model_id")
-        return values
-
-    def resolved(self) -> tuple["RunManifest", BackendSettings]:
-        """The run's backend settings (manifest > environment > default), and
-        this manifest with them written in, so its emitted copy pins them."""
-        settings = resolve_settings(self._backend_values(), environment())
-        pinned = {f.name: getattr(settings, f.metadata["key"]) for f in _BACKEND_FIELDS}
-        params = {**self.session_params, "model_id": settings.model}
-        return replace(self, session_params=params, **pinned), settings
+    def resolved(self) -> "RunManifest":
+        """This manifest with its backend settings resolved (manifest >
+        environment > default) and written in, so its emitted copy pins them.
+        The model is the session's ``model_id``."""
+        values = {**asdict(self.backend), "model": self.session_params.get("model_id")}
+        backend = resolve_settings(values, environment())
+        params = {**self.session_params, "model_id": backend.model}
+        return replace(self, backend=backend, session_params=params)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunManifest":
@@ -161,22 +148,21 @@ class RunManifest:
         out: dict = {"schema": MANIFEST_SCHEMA, "version": MANIFEST_VERSION}
         for f in fields(self):
             section, key = f.metadata["section"], f.metadata["key"]
-            if f.metadata["secret"]:
-                continue
             if f.name == "session_params":
                 # Every session key; those the params leave out take their defaults.
                 params = self.session_params
                 session = {c.name: _encode(params.get(c.name, c.default)) for c in _CONFIG_FIELDS}
                 out.setdefault(key, {}).update(session)
+            elif f.name == "backend":
+                # The model is the session's model_id; the API key is never written.
+                backend = _encode(self.backend)
+                del backend["model"], backend["api_key"]
+                out[key] = backend
             elif section:
                 out.setdefault(section, {})[key] = _encode(getattr(self, f.name))
             else:
                 out[key] = _encode(getattr(self, f.name))
         return out
-
-
-#: The fields of a manifest's backend section; their keys are BackendSettings field names.
-_BACKEND_FIELDS = [f for f in fields(RunManifest) if f.metadata["section"] == "backend"]
 
 
 def _encode(value):
@@ -264,6 +250,14 @@ def build_parts(
     return prompts, exemplars, factory, build_extractor(knowledge_endpoint, knowledge_fallback), cache
 
 
+def claim_cache(settings: BackendSettings, cache: ResponseCache | None) -> None:
+    """Take the writer lock of a cache the backend will write to, before the
+    first call, so a run never pays for calls it could not cache. Replay
+    only reads its cache and takes no lock."""
+    if cache is not None and settings.mode != "replay":
+        cache.claim()
+
+
 def _scoring_references(record: DatasetRecord, manifest: RunManifest) -> list[str]:
     # Control runs score against the topic-paired reference when topics exist.
     if (
@@ -338,15 +332,15 @@ def run_experiment(
 
     Each document's trace is written as soon as the document is scored;
     stats.json and calls.json are written once every document is done."""
-    manifest, settings = manifest.resolved()
+    manifest = manifest.resolved()
     prompts, exemplars, factory, extractor, cache = build_parts(
-        settings, manifest.prompts_dir, manifest.exemplars_path, manifest.shots,
+        manifest.backend, manifest.prompts_dir, manifest.exemplars_path, manifest.shots,
         manifest.knowledge_endpoint, manifest.knowledge_fallback,
     )
     fingerprint = prompts.fingerprint()
     _check_peek_guard(manifest, fingerprint, acknowledge_peek)
 
-    if manifest.backend_mode == "live" and not yes:
+    if manifest.backend.mode == "live" and not yes:
         estimate = estimate_calls(manifest)
         raise ConfigError(
             f"live run would issue up to {estimate['worst_case_total_calls']} calls "
@@ -379,14 +373,15 @@ def run_experiment(
         try:
             trace = run_session(doc, config, factory(), prompts, extractor, usage=usage)
             scores = _doc_metrics(record, trace, manifest, topic, scorer)
-        except ConfigError:
-            raise  # the whole run is misconfigured (e.g. its cache file is taken)
         except SummitError as exc:
             return usage, f"{type(exc).__name__}: {exc}"
         write_trace(trace, traces / f"{record.id}.jsonl")
         return usage, scores
 
     try:
+        claim_cache(manifest.backend, cache)
+        for stale in traces.glob("*.jsonl"):
+            stale.unlink()  # an earlier run's; the traces directory holds this run's alone
         if manifest.workers == 1 or len(records) <= 1:
             outcomes = [process(r) for r in records]
         else:
@@ -454,7 +449,7 @@ def _write_outputs(manifest, fingerprint, records, outcomes) -> ExperimentResult
     emitted = {**manifest.to_dict(), "prompt_fingerprint": fingerprint, "package_version": __version__}
     _write_json(outdir / "manifest.json", emitted)
     _write_json(outdir / "stats.json", stats)
-    calls = {"schema": CALLS_SCHEMA, "version": 1, "mode": manifest.backend_mode, "calls": counts, "usage": usage_total}
+    calls = {"schema": CALLS_SCHEMA, "version": 1, "mode": manifest.backend.mode, "calls": counts, "usage": usage_total}
     _write_json(outdir / "calls.json", calls)
     failures_path = outdir / "failures.jsonl"
     if failures:

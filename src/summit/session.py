@@ -16,7 +16,7 @@ from .backend import ChatMessage, CompletionBackend, CompletionRequest, Role
 from .errors import BudgetExceeded
 from .knowledge import NaiveExtractor, TripletExtractor, extract_triplets, render_triplets, select_for_prompt
 from .metrics import tokenize
-from .parsing import UNIFORM_DISTRIBUTION, parse_feedback
+from .parsing import parse_feedback
 from .prompting import (
     EVALUATOR_FORMAT_INSTRUCTIONS,
     SUMMARIZER_FORMAT_INSTRUCTIONS,
@@ -38,8 +38,6 @@ from .types import (
     TraceStep,
     Usage,
 )
-
-UNIFORM_EXPECTED_SCORE = 3.0
 
 
 def should_stop(feedback: Feedback, iteration: int, config: SessionConfig) -> StopReason | None:
@@ -125,18 +123,12 @@ def _base_context(doc: Document, config: SessionConfig, extractor: TripletExtrac
 
 
 def _synthetic_stop_feedback(config: SessionConfig) -> Feedback:
+    """A stop with no scores: lenient parsing gives the uniform fallback."""
     raw = (
         f"Document is below the minimum of {config.min_document_tokens} tokens; "
         f"the single-pass summary is accepted as-is. {config.stop_marker}"
     )
-    return Feedback(
-        raw=raw,
-        score_distribution=dict(UNIFORM_DISTRIBUTION),
-        expected_score=UNIFORM_EXPECTED_SCORE,
-        edit_ops=[],
-        stop_requested=True,
-        distribution_parsed=False,
-    )
+    return parse_feedback(raw, config.stop_marker)
 
 
 def run_session(

@@ -25,7 +25,7 @@ from helpers import (
     rouge_n_oracle,
     write_script,
 )
-from summit.backend import ScriptedBackend
+from summit.backend import BackendSettings, ScriptedBackend
 from summit.cli import main
 from summit.corpus import write_corpus, word_stats
 from summit.errors import DegenerateDistribution, EmptyInput
@@ -210,11 +210,13 @@ def test_criterion_5_directional_live_smoke(tmp_path):
             "max_iterations": max_iterations,
         },
         output_dir=tmp_path / "smoke_out",
-        backend_mode="live",
-        base_url=os.environ["SUMMIT_BASE_URL"],
-        api_key=os.environ["SUMMIT_API_KEY"],
-        cache_path=tmp_path / "smoke_cache.jsonl",
-        rpm=int(os.environ.get("SUMMIT_SMOKE_RPM", "60")),
+        backend=BackendSettings(
+            mode="live",
+            base_url=os.environ["SUMMIT_BASE_URL"],
+            api_key=os.environ["SUMMIT_API_KEY"],
+            cache=tmp_path / "smoke_cache.jsonl",
+            rpm=int(os.environ.get("SUMMIT_SMOKE_RPM", "60")),
+        ),
         workers=4,
     )
     result = run_experiment(manifest, yes=True)

@@ -10,6 +10,7 @@ import pytest
 import requests
 from click.testing import CliRunner
 
+import summit.cli as cli
 import summit.experiment as experiment
 from helpers import QUALITY_SCRIPT, make_corpus_file, write_script
 from summit.cache import ResponseCache
@@ -320,6 +321,7 @@ def test_run_exp_live_requires_yes(runner, tmp_path):
     result = runner.invoke(main, ["run-exp", str(manifest)])
     assert result.exit_code == EXIT_CONFIG
     assert "--yes" in result.output
+    assert not (tmp_path / "cache.jsonl").exists()  # the refused run takes no cache lock
 
 
 def test_peek_guard_on_test_split(runner, tmp_path):
@@ -478,6 +480,78 @@ def test_run_exp_live_fills_unset_settings_from_environment(runner, tmp_path, mo
     assert json.loads(emitted)["session"]["model_id"] == expected_model
 
 
+def test_live_run_on_a_held_cache_is_refused_before_any_call(runner, tmp_path, monkeypatch):
+    posts = []
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: posts.append(args) or _FakeResponse())
+    path = make_manifest(tmp_path, n=10, mode="live")
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["backend"]["base_url"] = "http://localhost:1"
+    data["workers"] = 4
+    path.write_text(json.dumps(data), encoding="utf-8")
+    holder = ResponseCache(tmp_path / "cache.jsonl")
+    holder.claim()
+    try:
+        refused = runner.invoke(main, ["run-exp", str(path), "--yes"])
+    finally:
+        holder.close()
+    assert refused.exit_code == EXIT_CONFIG, refused.output
+    assert "another run" in refused.output
+    assert posts == []
+
+
+def test_summarize_on_a_held_cache_is_refused_before_any_call(runner, tmp_path, monkeypatch):
+    sessions = []
+    monkeypatch.setattr(cli, "run_session", lambda *args, **kwargs: sessions.append(args))
+    script = write_script(tmp_path / "script.json", QUALITY_SCRIPT)
+    holder = ResponseCache(tmp_path / "cache.jsonl")
+    holder.claim()
+    try:
+        refused = runner.invoke(
+            main,
+            [
+                "summarize", "--doc", str(write_doc(tmp_path)), "--backend", "scripted",
+                "--script", str(script), "--cache", str(tmp_path / "cache.jsonl"),
+                "--trace-out", str(tmp_path / "trace.jsonl"),
+            ],
+        )
+    finally:
+        holder.close()
+    assert refused.exit_code == EXIT_CONFIG, refused.output
+    assert sessions == []
+
+
+def test_a_rerun_into_the_same_directory_leaves_only_its_own_traces(runner, tmp_path):
+    assert runner.invoke(main, ["run-exp", str(make_manifest(tmp_path, n=10))]).exit_code == 0
+    smaller = make_manifest(tmp_path, n=5)
+    result = runner.invoke(main, ["run-exp", str(smaller)])
+    assert result.exit_code == 0, result.output
+    fresh = runner.invoke(main, ["run-exp", str(smaller), "--out", str(tmp_path / "fresh")])
+    assert fresh.exit_code == 0, fresh.output
+    reused = sorted(p.name for p in (tmp_path / "out" / "traces").iterdir())
+    assert len(reused) == 5
+    assert reused == sorted(p.name for p in (tmp_path / "fresh" / "traces").iterdir())
+
+
+def test_the_accepted_manifest_keys(tmp_path):
+    # A new manifest key is a new setting: add it here on purpose, not by accident.
+    assert sorted(experiment._KNOWN_KEYS) == [
+        "backend", "backend.api_key", "backend.base_url", "backend.cache", "backend.max_attempts",
+        "backend.mode", "backend.rpm", "backend.script", "backend.timeout",
+        "corpus", "corpus.path", "corpus.schema",
+        "faithfulness", "faithfulness.endpoint",
+        "knowledge", "knowledge.endpoint", "knowledge.fallback_to_naive",
+        "name", "output_dir", "package_version", "prompt_fingerprint",
+        "prompts", "prompts.dir",
+        "sample", "sample.n", "sample.seed", "sample.split",
+        "schema",
+        "session", "session.exemplars_path", "session.max_iterations", "session.max_output_tokens",
+        "session.min_document_tokens", "session.model_id", "session.setting", "session.shots",
+        "session.stop_marker", "session.strict_parsing", "session.temperature", "session.token_budget",
+        "session.topic_index", "session.topic_query",
+        "version", "workers",
+    ]
+
+
 def test_replay_keeps_the_model_of_the_emitted_manifest(runner, tmp_path, monkeypatch):
     monkeypatch.delenv("SUMMIT_MODEL", raising=False)
     path = make_manifest(tmp_path, n=2)
@@ -501,7 +575,7 @@ def test_manifest_api_key_is_read_but_never_written(tmp_path):
     data["backend"]["api_key"] = "manifest-secret"
     path.write_text(json.dumps(data), encoding="utf-8")
     manifest = RunManifest.from_file(path)
-    assert manifest.api_key == "manifest-secret"
+    assert manifest.backend.api_key == "manifest-secret"
     assert "manifest-secret" not in json.dumps(manifest.to_dict())
 
 
@@ -674,6 +748,26 @@ def test_convert_command(runner, tmp_path):
     result = runner.invoke(main, ["convert", str(src), str(dest), "--format", "xsum"])
     assert result.exit_code == 0, result.output
     assert dest.exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (json.dumps({"id": "x2", "document": "second body"}), "missing field: 'summary'"),
+        (json.dumps({"id": "x2", "document": "second body", "summary": ""}), "reference summary"),
+        ('{"id": "x2", "document": "sec', "invalid JSON"),
+    ],
+    ids=["missing-summary", "empty-summary", "torn-line"],
+)
+def test_convert_refuses_a_line_that_run_exp_would_reject(runner, tmp_path, line, message):
+    src = tmp_path / "xsum.jsonl"
+    good = json.dumps({"id": "x1", "document": "body text", "summary": "short"})
+    src.write_text(f"{good}\n{line}\n", encoding="utf-8")
+    dest = tmp_path / "canonical.jsonl"
+    result = runner.invoke(main, ["convert", str(src), str(dest), "--format", "xsum"])
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert "line(s) 2" in result.output and message in result.output
+    assert not dest.exists()
 
 
 def test_config_precedence_flags_env_file(tmp_path, monkeypatch):

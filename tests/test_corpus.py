@@ -205,6 +205,24 @@ def test_convert_cnn_dm_and_newts(tmp_path):
     assert record.summaries == ("first topical summary", "second topical summary")
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        [""],
+        [json.dumps({"id": "x", "document": "body", "summary": "one"})] * 2,
+        [json.dumps({"id": "a/b", "document": "body", "summary": "one"})],
+        ["[1, 2]"],
+    ],
+    ids=["no-records", "duplicate-id", "id-with-slash", "not-an-object"],
+)
+def test_convert_refuses_what_load_corpus_would(tmp_path, lines):
+    src = write_lines(tmp_path / "xsum.jsonl", lines)
+    dest = tmp_path / "canonical.jsonl"
+    with pytest.raises(SchemaViolation):
+        convert_corpus(src, dest, "xsum")
+    assert not dest.exists()
+
+
 def test_convert_unknown_format(tmp_path):
     src = write_lines(tmp_path / "s.jsonl", ["{}"])
     with pytest.raises(ValueError):

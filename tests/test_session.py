@@ -138,13 +138,19 @@ def test_replay_determinism(registry):
 
 def test_degenerate_document_short_circuits(registry):
     tiny = Document(id="tiny", text="Far too short to bother.")
-    backend = ScriptedBackend([ScriptStep(response="Tiny summary.", match="Please summarize")])
-    trace = run_session(tiny, SessionConfig(), backend, registry)
-    assert len(trace.steps) == 1
-    assert trace.stopped_by is StopReason.EVALUATOR_STOP
-    assert trace.final_feedback.stop_requested
-    assert "<STOP>" in trace.final_feedback.raw
-    assert backend.cursor == 1  # no evaluator call was issued
+    for strict in (False, True):
+        backend = ScriptedBackend([ScriptStep(response="Tiny summary.", match="Please summarize")])
+        trace = run_session(tiny, SessionConfig(strict_parsing=strict), backend, registry)
+        assert len(trace.steps) == 1
+        assert trace.stopped_by is StopReason.EVALUATOR_STOP
+        feedback = trace.final_feedback
+        assert feedback.stop_requested
+        assert "<STOP>" in feedback.raw
+        # No scores were given, strict or not: the uniform fallback, flagged.
+        assert feedback.expected_score == 3.0
+        assert feedback.distribution_parsed is False
+        assert feedback.edit_ops == []
+        assert backend.cursor == 1  # no evaluator call was issued
 
 
 def test_control_setting_threads_topic(registry):
