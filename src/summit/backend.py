@@ -19,8 +19,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Protocol
 
-import requests
-
 from .cache import ResponseCache
 from .errors import AuthError, ConfigError, ReplayMiss, ScriptExhausted, ScriptMismatch, TransportError
 from .throttle import RateLimiter
@@ -150,6 +148,8 @@ Transport = Callable[[str, dict, dict, float], tuple[int, str]]
 
 
 def _requests_transport(url: str, headers: dict, payload: dict, timeout: float) -> tuple[int, str]:
+    import requests  # here, so that offline runs do not pay for importing it
+
     resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
     return resp.status_code, resp.text
 

@@ -82,8 +82,9 @@ def _validate_record(raw: dict, schema: CorpusSchema) -> DatasetRecord:
 
 def _read_records(fh, to_record) -> LoadResult:
     """The records of the JSON lines in ``fh``, and (line_number, message)
-    for each line that is malformed, fails validation or repeats an id.
-    ``to_record(raw, lineno)`` validates one parsed line; None skips it."""
+    for each line that is malformed, not an object, fails validation or
+    repeats an id. ``to_record(raw, lineno)`` validates one parsed object;
+    None skips it."""
     records: list[DatasetRecord] = []
     errors: list[tuple[int, str]] = []
     seen_ids: set[str] = set()
@@ -94,6 +95,9 @@ def _read_records(fh, to_record) -> LoadResult:
             raw = json.loads(line)
         except ValueError as exc:
             errors.append((lineno, f"invalid JSON: {exc}"))
+            continue
+        if not isinstance(raw, dict):
+            errors.append((lineno, "record must be a JSON object"))
             continue
         try:
             record = to_record(raw, lineno)
@@ -132,7 +136,7 @@ def load_corpus(
         raise FileNotFoundError(str(path))
 
     def to_record(raw, lineno: int) -> DatasetRecord | None:
-        if lineno == 1 and isinstance(raw, dict) and raw.get("schema") == CORPUS_SCHEMA:
+        if lineno == 1 and raw.get("schema") == CORPUS_SCHEMA:
             if raw.get("version") != CORPUS_VERSION:
                 raise SchemaViolation(f"unsupported corpus version {raw.get('version')!r}")
             return None
@@ -228,7 +232,7 @@ def convert_corpus(source: str | Path, dest: str | Path, source_format: str) -> 
                 "summaries": [raw[key] for key in summary_keys],
                 "topics": [raw[key] for key in topic_keys],
             }
-        except (AttributeError, KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValueError(f"missing field: {exc}") from exc
         return _validate_record(canonical, CorpusSchema.GENERIC)
 

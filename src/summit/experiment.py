@@ -287,20 +287,23 @@ def _doc_metrics(
     scorer: FaithfulnessScorer | None,
 ) -> dict:
     # Each text is tokenized once, through the metrics module so the calls
-    # stay countable there (perfbench/tracer.py counts metrics.tokenize).
+    # stay countable there (perfbench/tracer.py counts metrics.tokenize), and
+    # each reference's n-grams are counted once for both drafts.
     references = [metrics.tokenize(ref) for ref in _scoring_references(record, manifest)]
+    grams = {n: [metrics.ngrams(ref, n) for ref in references] for n in (1, 2)}
+    topic_tokens = None if topic is None else metrics.tokenize(topic)
     out: dict = {"iterations": len(trace.steps)}
     for label, step in (("init", trace.steps[0]), ("final", trace.steps[-1])):
         text = step.summary.text
         tokens = metrics.tokenize(text)
         row = {
-            "rouge1": rouge_n_multi(tokens, references, 1).f1,
-            "rouge2": rouge_n_multi(tokens, references, 2).f1,
+            "rouge1": rouge_n_multi(tokens, grams[1], 1).f1,
+            "rouge2": rouge_n_multi(tokens, grams[2], 2).f1,
             "rougeL": rouge_l_multi(tokens, references).f1,
             "gpt_eval": step.feedback.expected_score,
         }
-        if topic is not None:
-            row["topic_similarity"] = topic_similarity(topic, text)
+        if topic_tokens is not None:
+            row["topic_similarity"] = topic_similarity(topic_tokens, tokens)
         if scorer is not None:
             row["faithfulness"] = scorer.score(record.document, text)
         out[label] = row

@@ -14,8 +14,6 @@ import re
 from dataclasses import dataclass
 from typing import Protocol
 
-import requests
-
 from .errors import RemoteUnavailable
 
 log = logging.getLogger(__name__)
@@ -139,7 +137,9 @@ class RemoteExtractor:
     def __init__(self, endpoint: str, timeout: float = DEFAULT_CONNECT_TIMEOUT, session=None):
         self.endpoint = endpoint
         self.timeout = timeout
-        self._session = session or requests
+        if session is None:
+            import requests as session  # here, so that offline runs do not pay for importing it
+        self._session = session
 
     def extract(self, text: str) -> list[Triplet]:
         try:

@@ -9,8 +9,9 @@ bit-string longest-common-subsequence algorithm", in the form of Hyyrö
 (2004), "Bit-parallel LCS-length computation revisited", over Python ints.
 
 ``rouge_n`` and ``rouge_l`` score one pair of strings; ``rouge_n_multi`` and
-``rouge_l_multi`` score token lists against several references, so a caller
-scoring many candidates tokenizes each text once.
+``rouge_l_multi`` score a token list against several references, and
+``topic_similarity`` also takes token lists, so a caller scoring many
+candidates tokenizes each text, and counts each reference's n-grams, once.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-
-import requests
 
 from .errors import DegenerateDistribution, EmptyInput, RemoteUnavailable
 
@@ -51,7 +50,8 @@ def _f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
+def ngrams(tokens: list[str], n: int) -> Counter:
+    """The n-gram counts of a token list: a reference as ``rouge_n_multi`` takes it."""
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
@@ -63,7 +63,7 @@ def _score(overlap: int, cand_total: int, ref_total: int) -> RougeScore:
 
 def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     """Clipped n-gram overlap between candidate and reference."""
-    return rouge_n_multi(tokenize(candidate), [tokenize(reference)], n)
+    return rouge_n_multi(tokenize(candidate), [ngrams(tokenize(reference), n)], n)
 
 
 def lcs_length(a: list[str], b: list[str]) -> int:
@@ -96,17 +96,16 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
     return rouge_l_multi(tokenize(candidate), [tokenize(reference)])
 
 
-def rouge_n_multi(candidate: list[str], references: list[list[str]], n: int) -> RougeScore:
-    """ROUGE-N of a token list against each reference token list; the max-F1 score."""
+def rouge_n_multi(candidate: list[str], references: list[Counter], n: int) -> RougeScore:
+    """ROUGE-N of a token list against each reference's ``ngrams(tokens, n)``; the max-F1 score."""
     if not references:
         raise EmptyInput("at least one reference is required")
     if n < 1:
         raise ValueError("n must be >= 1")
-    cand = _ngrams(candidate, n)
+    cand = ngrams(candidate, n)
     cand_total = sum(cand.values())
     scores = []
-    for reference in references:
-        ref = _ngrams(reference, n)
+    for ref in references:
         overlap = sum(min(count, ref[gram]) for gram, count in cand.items() if gram in ref)
         scores.append(_score(overlap, cand_total, sum(ref.values())))
     return max(scores, key=lambda s: s.f1)
@@ -139,10 +138,13 @@ def expected_score(distribution: dict[int, float]) -> float:
     return min(5.0, max(1.0, sum(score * p for score, p in distribution.items())))
 
 
-def topic_similarity(query: str, summary: str) -> float:
-    """Cosine similarity of term-frequency vectors over the shared tokenizer."""
-    q = Counter(tokenize(query))
-    s = Counter(tokenize(summary))
+def topic_similarity(query: str | list[str], summary: str | list[str]) -> float:
+    """Cosine similarity of term-frequency vectors over the shared tokenizer.
+
+    Either side may be given as its token list instead of its text.
+    """
+    q = Counter(tokenize(query) if isinstance(query, str) else query)
+    s = Counter(tokenize(summary) if isinstance(summary, str) else summary)
     if not q or not s:
         return 0.0
     dot = sum(count * s[token] for token, count in q.items())
@@ -181,7 +183,9 @@ class FaithfulnessScorer:
     def __init__(self, endpoint: str, timeout: float = 30.0, session=None):
         self.endpoint = endpoint
         self.timeout = timeout
-        self._session = session or requests
+        if session is None:
+            import requests as session  # here, so that offline runs do not pay for importing it
+        self._session = session
 
     def score(self, document: str, summary: str) -> float:
         try:

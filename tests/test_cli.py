@@ -799,6 +799,26 @@ def test_importing_the_experiment_runner_leaves_yaml_unloaded():
     assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
 
 
+def test_offline_commands_leave_requests_unloaded(tmp_path):
+    # In a fresh interpreter, since this module imports requests itself.
+    manifest = make_manifest(tmp_path, n=3)
+    out, replayed = tmp_path / "out", tmp_path / "replayed"
+    commands = [
+        ["run-exp", str(manifest)],
+        ["replay", str(out / "manifest.json"), "--out", str(replayed)],
+        ["report", str(out), str(replayed)],
+    ]
+    code = (
+        "import sys, summit, summit.cli\n"
+        f"for args in {commands!r}:\n"
+        "    summit.cli.main(args, standalone_mode=False)\n"
+        "sys.exit('requests' in sys.modules and 'requests was imported')\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert (out / "stats.json").read_bytes() == (replayed / "stats.json").read_bytes()
+
+
 def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0

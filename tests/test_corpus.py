@@ -206,21 +206,26 @@ def test_convert_cnn_dm_and_newts(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "lines",
+    ("lines", "message"),
     [
-        [""],
-        [json.dumps({"id": "x", "document": "body", "summary": "one"})] * 2,
-        [json.dumps({"id": "a/b", "document": "body", "summary": "one"})],
-        ["[1, 2]"],
+        ([""], None),
+        ([json.dumps({"id": "x", "document": "body", "summary": "one"})] * 2, None),
+        ([json.dumps({"id": "a/b", "document": "body", "summary": "one"})], None),
+        (["[1, 2]"], "line 1: record must be a JSON object"),
     ],
     ids=["no-records", "duplicate-id", "id-with-slash", "not-an-object"],
 )
-def test_convert_refuses_what_load_corpus_would(tmp_path, lines):
+def test_convert_refuses_what_load_corpus_would(tmp_path, lines, message):
     src = write_lines(tmp_path / "xsum.jsonl", lines)
     dest = tmp_path / "canonical.jsonl"
-    with pytest.raises(SchemaViolation):
+    with pytest.raises(SchemaViolation) as refused:
         convert_corpus(src, dest, "xsum")
     assert not dest.exists()
+    if message is not None:
+        assert str(refused.value).endswith(message)
+        with pytest.raises(SchemaViolation) as refused:
+            load_corpus(src, strict=True)
+        assert str(refused.value).endswith(message)
 
 
 def test_convert_unknown_format(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+import requests
 
 from summit.errors import RemoteUnavailable
 from summit.knowledge import (
@@ -122,6 +123,13 @@ def test_remote_extractor_parses_server_shape():
         Triplet("Obiang", "joined", "Sampdoria", confidence=0.93),
         Triplet("club", "sits", "fifth"),
     ]
+
+
+def test_remote_extractor_without_a_session_posts_through_requests(monkeypatch):
+    stub = _StubSession((200, {"sentences": [{"openie": [{"subject": "a", "relation": "r", "object": "b"}]}]}))
+    monkeypatch.setattr(requests, "post", stub.post)
+    assert RemoteExtractor("http://annotate").extract("whatever") == [Triplet("a", "r", "b")]
+    assert stub.posted == b"whatever"
 
 
 def test_remote_extractor_unreachable():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from summit.metrics import (
     aggregate,
     expected_score,
     lcs_length,
+    ngrams,
     rouge_l,
     rouge_l_multi,
     rouge_n,
@@ -130,13 +132,14 @@ def test_bounds_and_lcs_dominance(a, b):
 
 def test_multi_reference_takes_max_f1():
     refs = ["the cat was on the mat", "completely unrelated words here"]
-    assert rouge_n_multi(tokenize(CAND), [tokenize(r) for r in refs], 1).f1 == pytest.approx(5 / 6, abs=1e-9)
+    assert rouge_n_multi(tokenize(CAND), [ngrams(tokenize(r), 1) for r in refs], 1).f1 == pytest.approx(5 / 6, abs=1e-9)
 
 
 @given(tokens, st.lists(tokens, min_size=1, max_size=4), st.integers(min_value=1, max_value=3))
 def test_token_level_multi_is_max_f1_of_string_level(cand, refs, n):
     cand_text, ref_texts = " ".join(cand), [" ".join(r) for r in refs]
-    assert rouge_n_multi(cand, refs, n) == max((rouge_n(cand_text, r, n) for r in ref_texts), key=lambda s: s.f1)
+    expected = max((rouge_n(cand_text, r, n) for r in ref_texts), key=lambda s: s.f1)
+    assert rouge_n_multi(cand, [ngrams(r, n) for r in refs], n) == expected
     assert rouge_l_multi(cand, refs) == max((rouge_l(cand_text, r) for r in ref_texts), key=lambda s: s.f1)
 
 
@@ -272,6 +275,12 @@ def test_topic_similarity_bounds(q, s):
     assert 0.0 <= topic_similarity(q, s) <= 1.0 + 1e-12
 
 
+@given(st.text(max_size=80), st.text(max_size=80))
+@settings(max_examples=200)
+def test_topic_similarity_of_token_lists_equals_of_texts(q, s):
+    assert topic_similarity(tokenize(q), tokenize(s)) == topic_similarity(q, s)
+
+
 # --- aggregation ------------------------------------------------------------------------
 
 
@@ -325,6 +334,13 @@ class _StubSession:
 def test_faithfulness_passthrough_stub():
     scorer = FaithfulnessScorer("http://scorer", session=_StubSession([(200, {"score": 0.36})]))
     assert scorer.score("doc", "sum") == pytest.approx(0.36)
+
+
+def test_faithfulness_without_a_session_posts_through_requests(monkeypatch):
+    stub = _StubSession([(200, {"score": 0.36})])
+    monkeypatch.setattr(requests, "post", stub.post)
+    assert FaithfulnessScorer("http://scorer").score("doc", "sum") == pytest.approx(0.36)
+    assert stub.calls == [{"document": "doc", "summary": "sum"}]
 
 
 def test_faithfulness_accepts_bare_number():
