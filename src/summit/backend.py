@@ -110,20 +110,41 @@ def _canonical(value) -> bytes:
     return json.dumps(value, ensure_ascii=True, separators=(",", ":")).encode("ascii")
 
 
+# The bytes around the messages, per distinct (max_output_tokens, model,
+# temperature); see ``cache_key``.
+_KEY_ENDS: dict[tuple, tuple[bytes, bytes]] = {}
+_KEY_ENDS_LIMIT = 64
+
+
+def _exact(value) -> tuple:
+    """A memo key part that two scalars share only if ``_canonical`` encodes
+    them alike: the type keeps ``1``, ``True`` and ``1.0`` apart, and a
+    float's hex form keeps ``0.0`` and ``-0.0`` apart."""
+    return (float, float.hex(value)) if isinstance(value, float) else (type(value), value)
+
+
 def cache_key(request: CompletionRequest) -> str:
     """SHA-256 over content that determines the completion.
 
     The hashed bytes are the compact, key-sorted, ASCII-escaped JSON of
     ``{"max_output_tokens", "messages", "model", "temperature"}``, with each
     message as ``[role, content]``. Sorted keys put ``messages`` second, so
-    the bytes are assembled from the scalars around each message's memoized
-    ``key_fragment`` and a call costs only its new messages' encoding.
-    ``request_tag`` is deliberately excluded so identical content collides.
+    the bytes are assembled from the scalars' encoding (memoized per distinct
+    triple) around each message's memoized ``key_fragment``, and a call costs
+    only its new messages' encoding. ``request_tag`` is deliberately excluded
+    so identical content collides.
     """
-    head = b'{"max_output_tokens":%s,"messages":[' % _canonical(request.max_output_tokens)
-    tail = b'],"model":%s,"temperature":%s}' % (_canonical(request.model_id), _canonical(float(request.temperature)))
+    temperature = float(request.temperature)
+    memo = (_exact(request.max_output_tokens), _exact(request.model_id), _exact(temperature))
+    ends = _KEY_ENDS.get(memo)
+    if ends is None:
+        if len(_KEY_ENDS) >= _KEY_ENDS_LIMIT:
+            _KEY_ENDS.clear()
+        head = b'{"max_output_tokens":%s,"messages":[' % _canonical(request.max_output_tokens)
+        tail = b'],"model":%s,"temperature":%s}' % (_canonical(request.model_id), _canonical(temperature))
+        ends = _KEY_ENDS[memo] = (head, tail)
     messages = b",".join(m.key_fragment for m in request.messages)
-    return hashlib.sha256(head + messages + tail).hexdigest()
+    return hashlib.sha256(ends[0] + messages + ends[1]).hexdigest()
 
 
 def _request_summary(request: CompletionRequest) -> dict:

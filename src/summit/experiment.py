@@ -292,8 +292,8 @@ def _doc_metrics(
     references = [metrics.tokenize(ref) for ref in _scoring_references(record, manifest)]
     grams = {n: [metrics.ngrams(ref, n) for ref in references] for n in (1, 2)}
     topic_tokens = None if topic is None else metrics.tokenize(topic)
-    out: dict = {"iterations": len(trace.steps)}
-    for label, step in (("init", trace.steps[0]), ("final", trace.steps[-1])):
+
+    def score(step) -> dict:
         text = step.summary.text
         tokens = metrics.tokenize(text)
         row = {
@@ -306,8 +306,12 @@ def _doc_metrics(
             row["topic_similarity"] = topic_similarity(topic_tokens, tokens)
         if scorer is not None:
             row["faithfulness"] = scorer.score(record.document, text)
-        out[label] = row
-    return out
+        return row
+
+    init = score(trace.steps[0])
+    # A one-step trace's first step is its last: score it once.
+    final = score(trace.steps[-1]) if len(trace.steps) > 1 else dict(init)
+    return {"iterations": len(trace.steps), "init": init, "final": final}
 
 
 def _check_peek_guard(manifest: RunManifest, fingerprint: str, acknowledge_peek: bool) -> None:

@@ -10,7 +10,6 @@ claim of parity with a real extractor.
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -22,7 +21,10 @@ NAIVE_CONFIDENCE = 0.5
 PROMPT_TRIPLET_LIMIT = 20
 DEFAULT_CONNECT_TIMEOUT = 5.0
 
-_SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+|\n+")
+# Stripped from both ends of each whitespace-separated token.
+_WORD_PUNCTUATION = ".,;:!?\"'()[]"
+# A token whose last character is one of these ends its sentence.
+_SENTENCE_ENDS = ".!?"
 
 # Auxiliaries/copulas that anchor a finite verb group.
 _AUX = {
@@ -92,19 +94,29 @@ def _looks_like_verb(word: str) -> bool:
 
 class NaiveExtractor:
     """One triplet per sentence at most: subject before the first finite verb
-    group, relation = that verb group plus trailing particles, object = rest."""
+    group, relation = that verb group plus trailing particles, object = rest.
+
+    The text is read once. Each line (text between ``\n`` characters) is split
+    on whitespace into tokens; a sentence ends at the end of a line and after
+    each token whose last character is ``.``, ``!`` or ``?``. A sentence's
+    words are its tokens stripped of ``.,;:!?"'()[]`` at both ends, those that
+    strip to nothing dropped. Every triplet has confidence 0.5."""
 
     def extract(self, text: str) -> list[Triplet]:
-        triplets = []
-        for sentence in _SENTENCE_SPLIT_RE.split(text):
-            triplet = self._extract_sentence(sentence.strip())
-            if triplet is not None:
-                triplets.append(triplet)
-        return triplets
+        sentences = []
+        for line in text.split("\n"):
+            words: list[str] = []
+            for token in line.split():
+                word = token.strip(_WORD_PUNCTUATION)
+                if word:
+                    words.append(word)
+                if token[-1] in _SENTENCE_ENDS:
+                    sentences.append(words)
+                    words = []
+            sentences.append(words)
+        return [t for t in map(self._extract_sentence, sentences) if t is not None]
 
-    def _extract_sentence(self, sentence: str) -> Triplet | None:
-        words = [w.strip(".,;:!?\"'()[]") for w in sentence.split()]
-        words = [w for w in words if w]
+    def _extract_sentence(self, words: list[str]) -> Triplet | None:
         if len(words) < 3:
             return None
         verb_start = next((i for i in range(1, len(words)) if _looks_like_verb(words[i])), None)

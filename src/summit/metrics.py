@@ -37,6 +37,16 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def has_tokens(text: str, minimum: int) -> bool:
+    """``len(tokenize(text)) >= minimum``, counting tokens only until ``minimum``."""
+    if minimum <= 0:
+        return True
+    for count, _ in enumerate(_TOKEN_RE.finditer(text.lower()), start=1):
+        if count == minimum:
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class RougeScore:
     precision: float

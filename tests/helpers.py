@@ -6,11 +6,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from summit.backend import SCRIPT_SCHEMA, CompletionBackend, CompletionRequest, CompletionResponse, ScriptStep
 from summit.corpus import DatasetRecord, write_corpus
+from summit.knowledge import _AUX, _PARTICLES, NAIVE_CONFIDENCE, Triplet, _looks_like_verb
 from summit.types import EditKind
 
 # --- brute-force ROUGE oracles ----------------------------------------------
@@ -86,6 +88,46 @@ def cache_key_oracle(request: CompletionRequest) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# --- naive triplet oracle -----------------------------------------------------
+
+_SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+|\n+")
+
+
+def naive_extract_oracle(text: str) -> list[Triplet]:
+    """``NaiveExtractor.extract`` as it was written first: a look-behind
+    sentence split, then a strip and a whitespace split of each sentence."""
+    triplets = []
+    for sentence in _SENTENCE_SPLIT_RE.split(text):
+        triplet = _oracle_sentence(sentence.strip())
+        if triplet is not None:
+            triplets.append(triplet)
+    return triplets
+
+
+def _oracle_sentence(sentence: str) -> Triplet | None:
+    words = [w.strip(".,;:!?\"'()[]") for w in sentence.split()]
+    words = [w for w in words if w]
+    if len(words) < 3:
+        return None
+    verb_start = next((i for i in range(1, len(words)) if _looks_like_verb(words[i])), None)
+    if verb_start is None:
+        return None
+    verb_end = verb_start + 1
+    while verb_end < len(words) and words[verb_end].lower() in _AUX:
+        verb_end += 1
+    # One more non-aux verb may close the group ("has been linked").
+    if verb_end > verb_start + 1 and verb_end < len(words) and _looks_like_verb(words[verb_end]):
+        verb_end += 1
+    while verb_end < len(words) - 1 and words[verb_end].lower() in _PARTICLES:
+        verb_end += 1
+    subject = " ".join(words[:verb_start])
+    relation = " ".join(words[verb_start:verb_end])
+    obj = " ".join(words[verb_end:])
+    if not (subject and relation and obj):
+        return None
+    return Triplet(subject, relation, obj, confidence=NAIVE_CONFIDENCE)
 
 
 # --- scripted session generation ---------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import summit.backend as backend_module
 from helpers import cache_key_oracle, write_script
 from summit.backend import (
     CachedBackend,
@@ -114,8 +115,8 @@ def _requests(draw) -> CompletionRequest:
     return CompletionRequest(
         model_id=draw(st.one_of(st.text(max_size=20), st.sampled_from(['"messages":[]', 'm","messages":[["user"']))),
         messages=(system, *rest),
-        temperature=draw(st.one_of(st.integers(-3, 3), st.floats())),
-        max_output_tokens=draw(st.integers()),
+        temperature=draw(st.one_of(st.integers(-3, 3), st.floats(), st.sampled_from([0.0, -0.0]))),
+        max_output_tokens=draw(st.one_of(st.integers(), st.booleans())),
         request_tag=draw(st.text(max_size=5)),
     )
 
@@ -126,6 +127,17 @@ def test_cache_key_matches_the_one_call_serialization(request):
     assert cache_key(request) == cache_key_oracle(request)  # again, from the filled memos
     response = ScriptedBackend([ScriptStep(response="r")]).complete(request)
     assert response.usage.prompt_tokens == sum(estimate_tokens(m.content) for m in request.messages)
+
+
+@pytest.mark.parametrize("temperatures", [(0.0, -0.0), (-0.0, 0.0)])
+def test_equal_scalars_that_encode_apart_key_apart(monkeypatch, temperatures):
+    monkeypatch.setattr(backend_module, "_KEY_ENDS", {})
+    requests = [CompletionRequest("m", (ChatMessage(Role.SYSTEM, "s"),), t, 1) for t in temperatures]
+    requests += [CompletionRequest("m", (ChatMessage(Role.SYSTEM, "s"),), 0.0, flag) for flag in (1, True)]
+    keys = [cache_key(request) for request in requests]
+    assert keys == [cache_key_oracle(request) for request in requests]
+    assert keys[0] != keys[1]
+    assert keys[2] != keys[3]
 
 
 def test_memoized_message_equals_and_hashes_like_a_fresh_one():

@@ -399,6 +399,29 @@ def test_run_exp_faithfulness_setting_offline(runner, tmp_path):
     assert len(list(trace)) == 3
 
 
+def test_a_one_step_trace_is_scored_once(runner, tmp_path, monkeypatch):
+    posts = []
+
+    class _Score:
+        status_code = 200
+
+        def json(self):
+            return {"score": 0.75}
+
+    monkeypatch.setattr(requests, "post", lambda url, json, timeout: posts.append(json) or _Score())
+    path = make_manifest(tmp_path, n=4, script=QUALITY_SCRIPT[:1] + QUALITY_SCRIPT[3:])
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["faithfulness"] = {"endpoint": "http://scorer.example/score"}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    result = runner.invoke(main, ["run-exp", str(path)])
+    assert result.exit_code == 0, result.output
+    assert [post["summary"] for post in posts] == ["Initial summary of the document."] * 4
+    metrics = json.loads((tmp_path / "out" / "stats.json").read_text(encoding="utf-8"))["metrics"]
+    values = {label: {name: row["values"] for name, row in metrics[label].items()} for label in ("init", "final")}
+    assert values["final"] == values["init"]
+    assert values["final"]["faithfulness"] == [0.75] * 4
+
+
 def test_run_exp_writes_a_header_into_an_empty_cache_file(runner, tmp_path):
     manifest = make_manifest(tmp_path, n=3)
     (tmp_path / "cache.jsonl").touch()

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import pytest
 import requests
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import naive_extract_oracle
 from summit.errors import RemoteUnavailable
 from summit.knowledge import (
     FallbackExtractor,
@@ -32,6 +35,35 @@ def test_naive_one_triplet_per_sentence_max():
     text = "Stoke approved the offer. What a chaotic day! The club signed him."
     triplets = NaiveExtractor().extract(text)
     assert len(triplets) == 2
+
+
+#: Separators: whitespace that both ``str.split`` and the regex ``\s`` match
+#: (line ends other than ``\n`` among them), runs of ``\n``, and ``\u200b``,
+#: which is not whitespace. Tokens: the stripped punctuation alone and in
+#: runs, words that pass or fail the verb test, and sentence ends.
+_SEPARATORS = [
+    " ", "\n", "\r", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+    "\u2028", "\u2029", "\u200b", "\u3000", "\n\n", " \n ",
+]
+_TOKENS = [
+    ".", "!", "?", ",", ";", ":", '"', "'", "(", ")", "[", "]", "..", ".)", "?!", "(.", "'.'",
+    "The", "Council", "İstanbul", "ΣΟΦΙΑ", "Σ", "it", "a", "the", "pier",
+    "is", "was", "has", "been", "will", "Has", "of", "to", "with", "up", "as",
+    "joined", "linked", "moving", "sing", "runs", "class", "bus", "Approved", "led",
+    "end.", "end!", "end?", "(end).", "U.S.", "end.)", "said,", "\"quote\"", "e.g.x",
+]
+_texts = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(_TOKENS), st.text(max_size=3)),
+        st.one_of(st.just(" "), st.sampled_from(_SEPARATORS)),
+    ),
+    max_size=30,
+).map(lambda parts: "".join(token + separator for token, separator in parts))
+
+
+@given(_texts)
+def test_naive_extractor_equals_the_look_behind_oracle(text):
+    assert NaiveExtractor().extract(text) == naive_extract_oracle(text)
 
 
 def test_naive_is_deterministic():

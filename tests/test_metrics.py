@@ -13,6 +13,7 @@ from summit.metrics import (
     FaithfulnessScorer,
     aggregate,
     expected_score,
+    has_tokens,
     lcs_length,
     ngrams,
     rouge_l,
@@ -43,6 +44,17 @@ def test_tokenize_underscore_is_a_separator():
 def test_tokenize_idempotent_on_joined_output(text):
     joined = " ".join(tokenize(text))
     assert tokenize(joined) == tokenize(text)
+
+
+_counting_text = st.lists(
+    st.one_of(st.sampled_from(["a", " B7 ", "_", " ", "-", "xİx", "Σ", "\u0307", "\n"]), st.characters()),
+    max_size=20,
+).map("".join)
+
+
+@given(_counting_text, st.integers(-1, 15))
+def test_has_tokens_equals_counting_every_token(text, minimum):
+    assert has_tokens(text, minimum) == (len(tokenize(text)) >= minimum)
 
 
 # --- rouge worked examples --------------------------------------------------------
