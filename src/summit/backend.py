@@ -14,8 +14,9 @@ import hashlib
 import json
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -48,32 +49,86 @@ class ServedFrom(enum.Enum):
 class ChatMessage:
     """One turn of a chat. A thread resends all its messages on every call,
     so what a call needs from a message is computed once and kept in the
-    instance ``__dict__``; equality and hashing see only the fields."""
+    instance ``__dict__``; equality and hashing see only role and content.
+
+    ``parts`` is the content cut into pieces that join to it (``ValueError``
+    otherwise); none given means the single part ``(content,)``. ``tokens``
+    and ``key_fragment`` are assembled from per-part values that are memoized
+    by the part's text, so a piece that recurs across messages (a session's
+    document, embedded in every evaluate prompt) is counted and escaped once.
+    """
 
     role: Role
     content: str
+    parts: tuple[str, ...] = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(self.parts) or (self.content,))
+        if "".join(self.parts) != self.content:
+            raise ValueError("a message's parts must join to its content")
 
     def to_wire(self) -> dict:
         return {"role": self.role.value, "content": self.content}
 
     @cached_property
     def tokens(self) -> int:
-        """``estimate_tokens`` of the content."""
-        return estimate_tokens(self.content)
+        """``estimate_tokens`` of the content: the parts' word counts, less
+        one for each word that a boundary between two parts cuts in two."""
+        tokens = 0
+        in_word = False  # the previous non-empty part ended inside a word
+        for part in self.parts:
+            if part:
+                tokens += _memoized(_PART_WORDS, part, estimate_tokens)
+                if in_word and not part[0].isspace():
+                    tokens -= 1
+                in_word = not part[-1].isspace()
+        return tokens
 
     @cached_property
     def key_fragment(self) -> bytes:
-        """This message's element of the messages array ``cache_key`` hashes."""
-        return _canonical([self.role.value, self.content])
+        """This message's element of the messages array ``cache_key`` hashes:
+        ``_canonical([role, content])``. ASCII-escaping works one code point
+        at a time, so the content's escape is its parts' escapes joined."""
+        body = b"".join(_memoized(_PART_ESCAPES, part, _escaped) for part in self.parts)
+        return b'["%s","%s"]' % (self.role.value.encode("ascii"), body)
+
+
+# Per-part values of ``ChatMessage``, keyed by the part's text. A memo is
+# cleared when it reaches the limit, which bounds how long it keeps a
+# finished session's document alive.
+_PART_WORDS: dict[str, int] = {}
+_PART_ESCAPES: dict[str, bytes] = {}
+_PART_MEMO_LIMIT = 32
+
+
+def _memoized(memo: dict, key, compute: Callable, limit: int = _PART_MEMO_LIMIT):
+    """``memo[key]``, stored as ``compute(key)`` first if missing; a full memo is cleared."""
+    value = memo.get(key)
+    if value is None:
+        if len(memo) >= limit:
+            memo.clear()
+        value = memo[key] = compute(key)
+    return value
+
+
+def _escaped(text: str) -> bytes:
+    """The body of ``text``'s ASCII-escaped JSON string, without the quotes."""
+    return encode_basestring_ascii(text)[1:-1].encode("ascii")
 
 
 @dataclass(frozen=True)
 class CompletionRequest:
+    """One call's input. ``parent`` is the same thread's previous request,
+    whose messages begin this one's; ``cache_key`` continues the hash it
+    saved on the parent, and checks that claim before it does (see there).
+    It takes no part in equality."""
+
     model_id: str
     messages: tuple[ChatMessage, ...]
     temperature: float
     max_output_tokens: int
     request_tag: str = ""
+    parent: CompletionRequest | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.messages:
@@ -129,22 +184,43 @@ def cache_key(request: CompletionRequest) -> str:
     The hashed bytes are the compact, key-sorted, ASCII-escaped JSON of
     ``{"max_output_tokens", "messages", "model", "temperature"}``, with each
     message as ``[role, content]``. Sorted keys put ``messages`` second, so
-    the bytes are assembled from the scalars' encoding (memoized per distinct
-    triple) around each message's memoized ``key_fragment``, and a call costs
-    only its new messages' encoding. ``request_tag`` is deliberately excluded
-    so identical content collides.
+    the bytes are the scalars' encoding (memoized per distinct triple) around
+    each message's memoized ``key_fragment``. ``request_tag`` is deliberately
+    excluded so identical content collides.
+
+    The hash state after the head and the messages is saved on the request.
+    A request continues its parent's saved state, hashing only its new
+    messages, when the parent's head bytes are the same and the parent's
+    messages are the very objects (``is``) that begin this request's;
+    otherwise it hashes from scratch. Either way the bytes are the same.
     """
     temperature = float(request.temperature)
-    memo = (_exact(request.max_output_tokens), _exact(request.model_id), _exact(temperature))
-    ends = _KEY_ENDS.get(memo)
-    if ends is None:
-        if len(_KEY_ENDS) >= _KEY_ENDS_LIMIT:
-            _KEY_ENDS.clear()
+    scalars = (_exact(request.max_output_tokens), _exact(request.model_id), _exact(temperature))
+
+    def ends(_) -> tuple[bytes, bytes]:
         head = b'{"max_output_tokens":%s,"messages":[' % _canonical(request.max_output_tokens)
         tail = b'],"model":%s,"temperature":%s}' % (_canonical(request.model_id), _canonical(temperature))
-        ends = _KEY_ENDS[memo] = (head, tail)
-    messages = b",".join(m.key_fragment for m in request.messages)
-    return hashlib.sha256(ends[0] + messages + ends[1]).hexdigest()
+        return head, tail
+
+    head, tail = _memoized(_KEY_ENDS, scalars, ends, _KEY_ENDS_LIMIT)
+    messages, parent = request.messages, request.parent
+    # (head, state) as saved by the parent's own cache_key, in its __dict__
+    saved = None if parent is None else vars(parent).get("_key_state")
+    if (
+        saved is not None
+        and saved[0] == head
+        and len(parent.messages) <= len(messages)
+        and all(a is b for a, b in zip(parent.messages, messages))
+    ):
+        state = saved[1].copy()
+        for message in messages[len(parent.messages) :]:
+            state.update(b"," + message.key_fragment)
+    else:
+        state = hashlib.sha256(head + b",".join(m.key_fragment for m in messages))
+    vars(request)["_key_state"] = (head, state)
+    final = state.copy()
+    final.update(tail)
+    return final.hexdigest()
 
 
 def _request_summary(request: CompletionRequest) -> dict:

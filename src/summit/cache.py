@@ -91,7 +91,8 @@ class ResponseCache:
 
     def _open_for_append(self) -> TextIO:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fh = self.path.open("a", encoding="utf-8")
+        # A lone surrogate is written as its \uXXXX JSON escape.
+        fh = self.path.open("a", encoding="utf-8", errors="backslashreplace")
         try:
             fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:

@@ -152,7 +152,8 @@ def load_corpus(
 def write_corpus(records: list[DatasetRecord], path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    # A lone surrogate is written as its \uXXXX JSON escape.
+    with path.open("w", encoding="utf-8", errors="backslashreplace") as fh:
         fh.write(json.dumps({"schema": CORPUS_SCHEMA, "version": CORPUS_VERSION}) + "\n")
         for record in records:
             fh.write(

@@ -460,7 +460,8 @@ def _write_outputs(manifest, fingerprint, records, outcomes) -> ExperimentResult
     _write_json(outdir / "calls.json", calls)
     failures_path = outdir / "failures.jsonl"
     if failures:
-        with failures_path.open("w", encoding="utf-8") as fh:
+        # A lone surrogate is written as its \uXXXX JSON escape.
+        with failures_path.open("w", encoding="utf-8", errors="backslashreplace") as fh:
             for failure in failures:
                 fh.write(json.dumps(failure, ensure_ascii=False, sort_keys=True) + "\n")
     elif failures_path.exists():

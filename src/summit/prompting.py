@@ -2,9 +2,10 @@
 
 Templates are plain-text files with ``{{slot_name}}`` markers, shipped with
 the package and overridable by pointing the registry at another directory
-carrying the same ``manifest.json`` layout. Slot substitution is a single
-pass over the template: marker syntax inside substituted values is payload,
-not a slot, and passes through verbatim.
+carrying the same ``manifest.json`` layout. Each template is split once, at
+load, into literal and slot pieces, and rendering joins the literals with the
+slot values: marker syntax inside substituted values is payload, not a slot,
+and passes through verbatim.
 """
 
 from __future__ import annotations
@@ -69,16 +70,36 @@ _SLOT_RE = re.compile(r"\{\{(\w+)\}\}")
 
 @dataclass(frozen=True)
 class RenderedPrompt:
+    """Both messages of one call. ``user_parts`` are the non-empty pieces of
+    the user message in order, so they join to ``user``; each slot's piece is
+    the context's own value object, which lets a message count and escape a
+    value that recurs across calls (the document) once."""
+
     system: str
     user: str
+    user_parts: tuple[str, ...]
 
 
-def _render_template(template: str, context: dict[str, str]) -> str:
-    referenced = set(_SLOT_RE.findall(template))
-    for slot in sorted(referenced):
-        if slot not in context:
-            raise MissingSlot(slot)
-    return _SLOT_RE.sub(lambda m: context[m.group(1)], template)
+class _Template:
+    """A template split into pieces: literals at even indices, slot names at
+    odd ones (``_SLOT_RE.split``)."""
+
+    def __init__(self, text: str):
+        self.pieces = _SLOT_RE.split(text)
+        self.slots = sorted(set(self.pieces[1::2]))
+
+    def fill(self, context: dict[str, str]) -> tuple[str, ...]:
+        """The non-empty literals and slot values, in order."""
+        for slot in self.slots:
+            if slot not in context:
+                raise MissingSlot(slot)
+        parts = list(self.pieces)
+        parts[1::2] = [context[slot] for slot in self.pieces[1::2]]
+        # From a list, not an iterator: tuple() of an iterator allocates a
+        # guessed size and shrinks it, so each call would add a block to
+        # CPython's free list of tuples of the final size (+0.35 MiB of peak
+        # RSS over a replay-xsum benchmark run).
+        return tuple([part for part in parts if part])
 
 
 def format_exemplars(exemplars: list[Exemplar], role: PromptRole) -> str:
@@ -100,6 +121,10 @@ def format_exemplars(exemplars: list[Exemplar], role: PromptRole) -> str:
     return "\n\n".join(blocks) + "\n\n"
 
 
+def _user_key(role: PromptRole, setting, stage: Stage) -> tuple[str, str, str]:
+    return (role.value, getattr(setting, "value", setting), stage.value)
+
+
 class PromptRegistry:
     """All prompt templates, keyed by (role, setting value, stage)."""
 
@@ -107,6 +132,8 @@ class PromptRegistry:
         self._systems = systems
         self._users = users
         self.validate()
+        self._system_templates = {role: _Template(text) for role, text in systems.items()}
+        self._user_templates = {key: _Template(text) for key, text in users.items()}
 
     @classmethod
     def load(cls, directory: str | Path | None = None) -> "PromptRegistry":
@@ -145,15 +172,13 @@ class PromptRegistry:
             raise ValueError(f"missing user templates: {', '.join(missing)}")
 
     def template(self, role: PromptRole, setting, stage: Stage) -> str:
-        setting_value = getattr(setting, "value", setting)
-        return self._users[(role.value, setting_value, stage.value)]
+        return self._users[_user_key(role, setting, stage)]
 
     def render(self, role: PromptRole, setting, stage: Stage, context: dict[str, str]) -> RenderedPrompt:
         """Fill both system and user templates from the same context."""
-        return RenderedPrompt(
-            system=_render_template(self._systems[role], context),
-            user=_render_template(self.template(role, setting, stage), context),
-        )
+        system = self._system_templates[role].fill(context)
+        user_parts = self._user_templates[_user_key(role, setting, stage)].fill(context)
+        return RenderedPrompt(system="".join(system), user="".join(user_parts), user_parts=user_parts)
 
     def fingerprint(self) -> str:
         """Content hash over every template, for peek-guarding experiment runs."""

@@ -70,6 +70,7 @@ class ChatThread:
     document_id: str = ""
     messages: list[ChatMessage] = field(default_factory=list)
     last_summary: Summary | None = None
+    last_request: CompletionRequest | None = None
 
     def post(
         self,
@@ -82,15 +83,17 @@ class ChatThread:
         rendered = prompts.render(self.role, self.config.setting, stage, {**self.context, **extra})
         if not self.messages:
             self.messages.append(ChatMessage(Role.SYSTEM, rendered.system))
-        self.messages.append(ChatMessage(Role.USER, rendered.user))
+        self.messages.append(ChatMessage(Role.USER, rendered.user, rendered.user_parts))
         request = CompletionRequest(
             model_id=self.config.model_id,
             messages=tuple(self.messages),
             temperature=self.config.temperature,
             max_output_tokens=self.config.max_output_tokens,
             request_tag=f"{self.document_id}/{stage.value}/{iteration}",
+            parent=self.last_request,
         )
         response = backend.complete(request)
+        self.last_request = request
         self.messages.append(ChatMessage(Role.ASSISTANT, response.text))
         self.usage.prompt_tokens += response.usage.prompt_tokens
         self.usage.completion_tokens += response.usage.completion_tokens

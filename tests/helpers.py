@@ -12,6 +12,7 @@ from pathlib import Path
 
 from summit.backend import SCRIPT_SCHEMA, CompletionBackend, CompletionRequest, CompletionResponse, ScriptStep
 from summit.corpus import DatasetRecord, write_corpus
+from summit.errors import MissingSlot
 from summit.knowledge import _AUX, _PARTICLES, NAIVE_CONFIDENCE, Triplet, _looks_like_verb
 from summit.types import EditKind
 
@@ -88,6 +89,47 @@ def cache_key_oracle(request: CompletionRequest) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class CountingHashlib:
+    """Stands in for ``hashlib`` and counts the bytes given to ``sha256``
+    objects it made; as under the benchmark's tracer, their ``copy()`` is an
+    uncounted real hash object."""
+
+    def __init__(self):
+        self.started = 0
+        self.hashed_bytes = 0
+
+    def sha256(self, data: bytes = b""):
+        self.started += 1
+        return _CountingHash(self, data)
+
+
+class _CountingHash:
+    def __init__(self, counter: CountingHashlib, data: bytes):
+        self._counter = counter
+        self._real = hashlib.sha256()
+        self.update(data)
+
+    def update(self, data: bytes) -> None:
+        self._counter.hashed_bytes += len(data)
+        self._real.update(data)
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+# --- template oracle ------------------------------------------------------------
+
+_SLOT_RE = re.compile(r"\{\{(\w+)\}\}")
+
+
+def render_oracle(template: str, context: dict[str, str]) -> str:
+    """The first renderer: check every slot is set, then one ``re.sub`` pass."""
+    for slot in sorted(set(_SLOT_RE.findall(template))):
+        if slot not in context:
+            raise MissingSlot(slot)
+    return _SLOT_RE.sub(lambda m: context[m.group(1)], template)
 
 
 # --- naive triplet oracle -----------------------------------------------------

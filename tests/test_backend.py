@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import summit.backend as backend_module
-from helpers import cache_key_oracle, write_script
+from helpers import CountingHashlib, cache_key_oracle, write_script
 from summit.backend import (
     CachedBackend,
     ChatMessage,
@@ -108,25 +108,113 @@ _content = st.text(
 )
 
 
+#: Every character for which ``str.isspace()`` is true; ``str.split()``
+#: splits on exactly these.
+_SPACES = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
+
+#: Message parts that stress word counting across part boundaries as well as
+#: the escaping: every space, a zero-width non-space, quotes, backslashes,
+#: control characters, lone surrogates and astral characters.
+_part = st.text(
+    st.one_of(
+        st.sampled_from([*_SPACES, "\u200b", '"', "\\", "\x00", "\x7f", "\ud800", "\udfff", "😀", "a", "é"]),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=12,
+)
+
+
+def test_the_drawn_spaces_are_every_space():
+    assert {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()} == set(_SPACES)
+
+
+@given(st.sampled_from(Role), st.lists(_part, max_size=6))
+def test_message_values_from_parts_match_those_of_the_whole_content(role, parts):
+    content = "".join(parts)
+    message = ChatMessage(role, content, tuple(parts))
+    assert message.tokens == estimate_tokens(content)
+    assert message.key_fragment == json.dumps([role.value, content], separators=(",", ":")).encode("ascii")
+
+
+@pytest.mark.parametrize("parts", [("a",), ("b", "a"), ("a", "b", "c"), ("",)])
+def test_parts_that_do_not_join_to_the_content_are_refused(parts):
+    with pytest.raises(ValueError, match="join"):
+        ChatMessage(Role.USER, "ab", parts)
+
+
+def test_a_message_without_parts_is_its_one_part():
+    assert ChatMessage(Role.USER, "ab").parts == ("ab",)
+    assert ChatMessage(Role.USER, "").parts == ("",)
+
+
 @st.composite
-def _requests(draw) -> CompletionRequest:
-    system = ChatMessage(Role.SYSTEM, draw(_content))
-    rest = draw(st.lists(st.builds(ChatMessage, st.sampled_from(Role), _content), max_size=5))
-    return CompletionRequest(
-        model_id=draw(st.one_of(st.text(max_size=20), st.sampled_from(['"messages":[]', 'm","messages":[["user"']))),
-        messages=(system, *rest),
-        temperature=draw(st.one_of(st.integers(-3, 3), st.floats(), st.sampled_from([0.0, -0.0]))),
-        max_output_tokens=draw(st.one_of(st.integers(), st.booleans())),
-        request_tag=draw(st.text(max_size=5)),
-    )
+def _messages(draw, role=st.sampled_from(Role)) -> ChatMessage:
+    parts = draw(st.lists(st.one_of(_content, _part), max_size=3))
+    return ChatMessage(draw(role), "".join(parts), tuple(parts))
 
 
-@given(_requests())
-def test_cache_key_matches_the_one_call_serialization(request):
-    assert cache_key(request) == cache_key_oracle(request)
-    assert cache_key(request) == cache_key_oracle(request)  # again, from the filled memos
+def _scalars(draw) -> dict:
+    return {
+        "model_id": draw(st.one_of(st.text(max_size=20), st.sampled_from(['"messages":[]', 'm","messages":[["user"']))),
+        "temperature": draw(st.one_of(st.integers(-3, 3), st.floats(), st.sampled_from([0.0, -0.0]))),
+        "max_output_tokens": draw(st.one_of(st.integers(), st.booleans())),
+    }
+
+
+@st.composite
+def _requests(draw) -> list[tuple[CompletionRequest, bool]]:
+    """A chain of requests, each the ``parent`` of the next, and whether each
+    is keyed. A link extends its parent's messages, or first replaces one of
+    them, copies them all (equal, not identical) or changes the scalars; a
+    parent left unkeyed has no hash state to continue."""
+    scalars = _scalars(draw)
+    messages = (draw(_messages(st.just(Role.SYSTEM))),)
+    chain: list[tuple[CompletionRequest, bool]] = []
+    for _ in range(draw(st.integers(1, 4))):
+        change = draw(st.sampled_from(["extend", "replace", "copy", "scalars"]))
+        if change == "replace":
+            i = draw(st.integers(0, len(messages) - 1))
+            role = st.just(Role.SYSTEM) if i == 0 else st.sampled_from(Role)
+            messages = (*messages[:i], draw(_messages(role)), *messages[i + 1 :])
+        elif change == "copy":
+            messages = tuple(ChatMessage(m.role, m.content, m.parts) for m in messages)
+        elif change == "scalars":
+            scalars = _scalars(draw)
+        messages += tuple(draw(st.lists(_messages(), max_size=3)))
+        parent = chain[-1][0] if chain else None
+        request = CompletionRequest(messages=messages, request_tag=draw(st.text(max_size=5)), parent=parent, **scalars)
+        chain.append((request, draw(st.booleans())))
+    chain[-1] = (chain[-1][0], True)
+    return chain
+
+
+@given(_requests(), st.booleans())
+def test_cache_key_matches_the_one_call_serialization(chain, counting):
+    with pytest.MonkeyPatch.context() as patch:
+        if counting:  # as the benchmark's tracer does
+            patch.setattr(backend_module, "hashlib", CountingHashlib())
+        for request, keyed in chain:
+            if keyed:
+                assert cache_key(request) == cache_key_oracle(request)
+        request = chain[-1][0]
+        assert cache_key(request) == cache_key_oracle(request)  # again, from the filled memos
     response = ScriptedBackend([ScriptStep(response="r")]).complete(request)
     assert response.usage.prompt_tokens == sum(estimate_tokens(m.content) for m in request.messages)
+
+
+def test_a_keyed_parent_is_continued_rather_than_hashed_again(monkeypatch):
+    counter = CountingHashlib()
+    monkeypatch.setattr(backend_module, "hashlib", counter)
+    system, user = ChatMessage(Role.SYSTEM, "s"), ChatMessage(Role.USER, "u", ("", "u"))
+    first = CompletionRequest("m", (system, user), 0.0, 8)
+    second = CompletionRequest("m", (system, user, ChatMessage(Role.ASSISTANT, "a"), user), 0.0, 8, parent=first)
+    keys = [cache_key(first), cache_key(second)]
+    assert keys == [cache_key_oracle(first), cache_key_oracle(second)]
+    assert counter.started == 1
 
 
 @pytest.mark.parametrize("temperatures", [(0.0, -0.0), (-0.0, 0.0)])

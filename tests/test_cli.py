@@ -16,6 +16,7 @@ from helpers import QUALITY_SCRIPT, make_corpus_file, write_script
 from summit.cache import ResponseCache
 from summit.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_PARTIAL, main
 from summit.config import resolve_backend_settings
+from summit.corpus import load_corpus, write_corpus
 from summit.experiment import RunManifest, run_experiment
 from summit.trace_io import read_trace
 
@@ -303,6 +304,34 @@ def test_replay_reproduces_stats_with_zero_live_calls(runner, tmp_path):
         assert calls["calls"]["live"] == 0
         assert calls["calls"]["script"] == 0
         assert calls["calls"]["cache"] > 0
+
+
+def test_a_run_with_lone_surrogates_completes_and_replays_identically(runner, tmp_path):
+    # A live API that cuts an emoji's surrogate pair in half returns a lone surrogate.
+    records = make_corpus_file(tmp_path / "corpus.jsonl", 10)
+    records = [dataclasses.replace(r, document=f"{r.document} Cut \ud83d here.") for r in records]
+    write_corpus(records, tmp_path / "corpus.jsonl")
+    script = [dict(QUALITY_SCRIPT[0], response="Init \ud800 summary."), *QUALITY_SCRIPT[1:]]
+    manifest = make_manifest(tmp_path, n=10, script=script, corpus_records=records)
+    first = runner.invoke(main, ["run-exp", str(manifest)])
+    assert first.exit_code == 0, first.output
+    replayed = runner.invoke(main, ["replay", str(tmp_path / "out" / "manifest.json"), "--out", str(tmp_path / "r")])
+    assert replayed.exit_code == 0, replayed.output
+    assert (tmp_path / "r" / "stats.json").read_bytes() == (tmp_path / "out" / "stats.json").read_bytes()
+    for trace in (tmp_path / "r" / "traces").glob("*.jsonl"):
+        assert read_trace(trace)[0].summary_text == "Init \ud800 summary."
+    calls = json.loads((tmp_path / "r" / "calls.json").read_text(encoding="utf-8"))
+    assert calls["calls"] == {"live": 0, "cache": 10 * len(script), "script": 0}
+
+
+def test_a_failure_record_holding_a_lone_surrogate_is_written(runner, tmp_path):
+    records = [dataclasses.replace(r, id=f"{r.id}\ud800") for r in make_corpus_file(tmp_path / "corpus.jsonl", 2)]
+    write_corpus(records, tmp_path / "corpus.jsonl")
+    manifest = make_manifest(tmp_path, n=2, corpus_records=records, token_budget=1)
+    result = runner.invoke(main, ["run-exp", str(manifest)])
+    assert result.exit_code == EXIT_PARTIAL, result.output
+    failures = [json.loads(line) for line in (tmp_path / "out" / "failures.jsonl").read_text().splitlines()]
+    assert sorted(f["document_id"] for f in failures) == sorted(r.id for r in records)
 
 
 def test_replay_without_prior_cache_fails_as_backend_error(runner, tmp_path):
@@ -791,6 +820,17 @@ def test_convert_refuses_a_line_that_run_exp_would_reject(runner, tmp_path, line
     assert result.exit_code == EXIT_CONFIG, result.output
     assert "line(s) 2" in result.output and message in result.output
     assert not dest.exists()
+
+
+def test_convert_keeps_a_lone_surrogate(runner, tmp_path):
+    src = tmp_path / "xsum.jsonl"
+    lines = [{"id": "x1", "document": "body text", "summary": "short"}, {"id": "x2", "document": "cut \ud800 off", "summary": "\udc00"}]
+    src.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    dest = tmp_path / "canonical.jsonl"
+    result = runner.invoke(main, ["convert", str(src), str(dest), "--format", "xsum"])
+    assert result.exit_code == 0, result.output
+    loaded = load_corpus(dest, strict=True).records
+    assert [(r.id, r.document, r.summaries) for r in loaded] == [(d["id"], d["document"], (d["summary"],)) for d in lines]
 
 
 def test_config_precedence_flags_env_file(tmp_path, monkeypatch):

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import render_oracle
 from summit.errors import MissingSlot
 from summit.prompting import (
     EVALUATOR_FORMAT_INSTRUCTIONS,
+    ROLE_STAGES,
     SUMMARIZER_FORMAT_INSTRUCTIONS,
     PromptRegistry,
     PromptRole,
@@ -92,6 +97,52 @@ def test_slot_syntax_in_payload_passes_through(registry):
     context = {**BASE_CONTEXT, "document": "weird text with {{summary}} inside"}
     rendered = registry.render(PromptRole.EVALUATOR, Setting.QUALITY, Stage.EVALUATE, context)
     assert "weird text with {{summary}} inside" in rendered.user
+
+
+def _every_prompt():
+    return [(role, setting, stage) for role, stages in ROLE_STAGES.items() for setting in Setting for stage in stages]
+
+
+def test_packaged_prompts_render_as_the_substitution_oracle_does(registry):
+    context = {
+        **BASE_CONTEXT,
+        "document": "A {{summary}} and a {{missing}} inside the document.",
+        "summary": "{{document}}",
+        "exemplars": "Example 1:\n{{topic}}\n\n",
+    }
+    for role, setting, stage in _every_prompt():
+        rendered = registry.render(role, setting, stage, context)
+        assert rendered.user == "".join(rendered.user_parts)
+        assert rendered.user == render_oracle(registry.template(role, setting, stage), context)
+
+
+_SLOTS = ("document", "summary", "topic")
+_pieces = st.sampled_from(["{{document}}", "{{summary}}", "{{topic}}", "{{", "}}", "{", "}", "{{ x }}", "a ", "\n", ""])
+_templates = st.lists(_pieces, max_size=8).map("".join)
+_values = st.lists(st.sampled_from(["{{summary}}", "{{document}}", "{{", "}}", "word", " ", "\n", "é"]), max_size=4).map(
+    "".join
+)
+
+
+@given(_templates, _templates, st.dictionaries(st.sampled_from(_SLOTS), _values))
+def test_render_matches_the_substitution_oracle(system, user, context):
+    users = {(role.value, setting.value, stage.value): user for role, setting, stage in _every_prompt()}
+    registry = PromptRegistry({role: system for role in PromptRole}, users)
+    render = lambda: registry.render(PromptRole.EVALUATOR, Setting.QUALITY, Stage.EVALUATE, context)  # noqa: E731
+    try:
+        expected = (render_oracle(system, context), render_oracle(user, context))
+    except MissingSlot as missing:
+        with pytest.raises(MissingSlot) as raised:
+            render()
+        assert raised.value.slot == missing.slot
+        return
+    rendered = render()
+    assert (rendered.system, rendered.user) == expected
+    assert "".join(rendered.user_parts) == rendered.user
+    assert all(rendered.user_parts)
+    for slot in re.findall(r"\{\{(\w+)\}\}", user):
+        if context[slot]:
+            assert any(part is context[slot] for part in rendered.user_parts)
 
 
 def test_exemplars_precede_task_in_order(registry):

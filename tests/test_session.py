@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import summit.backend as backend_module
 from helpers import (
     CONTINUE_BEHAVIORS,
     STOP,
     STOPPING_BEHAVIORS,
+    CountingHashlib,
     RecordingBackend,
+    cache_key_oracle,
     plan_session,
     random_session_plan,
 )
-from summit.backend import ScriptedBackend, ScriptStep
+from summit.backend import CachedBackend, ScriptedBackend, ScriptStep
+from summit.cache import ResponseCache
 from summit.errors import BudgetExceeded, ConfigError, ParseError
 from summit.parsing import parse_feedback
 from summit.session import run_session, should_stop, step_refine
@@ -247,6 +251,28 @@ def test_finished_trace_holds_no_copy_of_the_document(registry, setting):
     trace = run_session(doc, config, ScriptedBackend(plan.steps), registry)
     assert len(trace.steps) == 3
     assert sentinel not in repr(trace)
+
+
+def test_a_cached_session_keys_every_call_right_and_hashes_each_thread_once(registry, monkeypatch):
+    counter = CountingHashlib()
+    monkeypatch.setattr(backend_module, "hashlib", counter)
+    plan = plan_session(["ops", "multi", "stop"], max_iterations=5)
+    cache = ResponseCache()
+    inner = CachedBackend(ScriptedBackend(plan.steps), cache)
+    requests = []
+
+    class Keeping:
+        def complete(self, request):
+            requests.append(request)
+            return inner.complete(request)
+
+    run_session(DOC, SessionConfig(), Keeping(), registry)
+    assert len(requests) == plan.expected_calls
+    assert all(cache.get(cache_key_oracle(request)) is not None for request in requests)
+    assert counter.started == 2  # the first request of each of the two threads
+    evaluations = [r for r in requests if "/evaluate/" in r.request_tag]
+    assert [r.parent for r in evaluations] == [None, *evaluations[:-1]]
+    assert all(any(part is DOC.text for part in r.messages[-1].parts) for r in evaluations)
 
 
 # --- randomized loop invariants -----------------------------------------------------
