@@ -1,8 +1,10 @@
 """Command surface: summarize, run-exp, replay, report, estimate, convert.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 backend failure
-(transport, auth, script exhaustion, replay miss, budget), 4 experiment
-completed with per-document failures.
+Exit codes: 0 success; 1 internal error (no input should cause one); 2
+configuration, usage or input error, a file-system error on a named path
+included; 3 backend failure (transport, auth, script, replay miss, budget,
+an unparseable reply under --strict, a remote endpoint); 4 experiment
+completed with per-document failures. Each error class carries its code.
 """
 
 from __future__ import annotations
@@ -19,16 +21,7 @@ from ._version import __version__
 from .backend import BACKEND_MODES, BackendSettings
 from .config import load_config_file, mapping, resolve_backend_settings
 from .corpus import CONVERT_FORMATS, convert_corpus
-from .errors import (
-    BackendError,
-    BudgetExceeded,
-    ConfigError,
-    MissingSlot,
-    MissingStats,
-    SampleTooLarge,
-    SchemaViolation,
-    SummitError,
-)
+from .errors import BackendError, ConfigError, SummitError
 from .experiment import RunManifest, build_parts, claim_cache, estimate_calls, run_experiment
 from .prompting import DEFAULT_SHOTS
 from .report import build_rows, format_table, write_csv
@@ -36,13 +29,12 @@ from .session import run_session
 from .trace_io import write_trace
 from .types import Document, SessionConfig, Setting
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_BACKEND = 3
+EXIT_CONFIG = ConfigError.exit_code
+EXIT_BACKEND = BackendError.exit_code
 EXIT_PARTIAL = 4
 
-_CONFIG_ERRORS = (ConfigError, SchemaViolation, SampleTooLarge, MissingStats, MissingSlot)
-_BACKEND_ERRORS = (BackendError, BudgetExceeded)
+#: The stderr prefix of each exit code; any other code prints "error".
+_PREFIXES = {SummitError.exit_code: "internal error", EXIT_BACKEND: "backend error"}
 
 
 def _handle_errors(fn):
@@ -50,18 +42,12 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except _CONFIG_ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
-        except FileNotFoundError as exc:
-            click.echo(f"error: file not found: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
-        except _BACKEND_ERRORS as exc:
-            click.echo(f"backend error: {exc}", err=True)
-            sys.exit(EXIT_BACKEND)
         except SummitError as exc:
+            click.echo(f"{_PREFIXES.get(exc.exit_code, 'error')}: {exc}", err=True)
+            sys.exit(exc.exit_code)
+        except OSError as exc:  # its message names the path
             click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
+            sys.exit(EXIT_CONFIG)
 
     return wrapper
 
@@ -103,7 +89,10 @@ def summarize(
     """Summarize one document and print the final summary."""
     if setting == "control" and not topic:
         raise ConfigError("--setting control requires --topic")
-    text = Path(doc).read_text(encoding="utf-8") if doc else sys.stdin.read()
+    try:
+        text = Path(doc).read_text(encoding="utf-8") if doc else sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"document {doc or 'on stdin'} is not UTF-8: {exc}") from None
     if not text.strip():
         raise ConfigError("document is empty")
     file_config = load_config_file(config_path)
@@ -127,6 +116,8 @@ def summarize(
         token_budget=token_budget,
     )
     document = Document(id=doc_id or (Path(doc).stem if doc else "stdin"), text=text)
+    if trace_out:
+        Path(trace_out).parent.mkdir(parents=True, exist_ok=True)  # before any call is paid for
     try:
         claim_cache(settings, response_cache)
         trace = run_session(document, config, factory(), prompts, extractor)
@@ -136,7 +127,8 @@ def summarize(
     if trace_out:
         write_trace(trace, trace_out)
         click.echo(f"trace written to {trace_out}", err=True)
-    click.echo(trace.final_summary.text)
+    # A lone surrogate is printed as its \uXXXX escape, as the file writers write it.
+    click.echo(trace.final_summary.text.encode("utf-8", "backslashreplace").decode("utf-8"))
 
 
 def _load_manifest(manifest_path, mode, out, workers):

@@ -24,6 +24,15 @@ ENV_VARS = {"api_key": "SUMMIT_API_KEY", "base_url": "SUMMIT_BASE_URL", "model":
 #: The backend keys a config file may set.
 FILE_KEYS = ("base_url", "model", "rpm", "timeout", "max_attempts", "cache")
 
+#: Every key a config file may hold, as ``key_paths`` names them.
+_FILE_CONFIG_KEYS = {"backend", "knowledge", "knowledge.endpoint"} | {f"backend.{key}" for key in FILE_KEYS}
+
+
+def key_paths(data: dict) -> set[str]:
+    """The keys of a mapping, as "section.key" inside sections."""
+    sections = {f"{s}.{key}" for s, value in data.items() if isinstance(value, dict) for key in value}
+    return {str(key) for key in data} | sections
+
 
 def load_config_file(path: str | Path | None) -> dict:
     if path is None:
@@ -31,14 +40,15 @@ def load_config_file(path: str | Path | None) -> dict:
     import yaml  # here, so that run-exp does not pay for importing it
 
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
         data = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must be a mapping at the top level")
+    unknown = sorted(key_paths(data) - _FILE_CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r} in {path}")
     return data
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,35 +81,44 @@ def _validate_record(raw: dict, schema: CorpusSchema) -> DatasetRecord:
     return DatasetRecord(id=rec_id, document=document, summaries=summaries, topics=topics)
 
 
-def _read_records(fh, to_record) -> LoadResult:
-    """The records of the JSON lines in ``fh``, and (line_number, message)
-    for each line that is malformed, not an object, fails validation or
-    repeats an id. ``to_record(raw, lineno)`` validates one parsed object;
-    None skips it."""
+#: A byte that is not UTF-8, as the surrogateescape error handler reads it.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def _read_records(path: Path, to_record) -> LoadResult:
+    """The records of the JSON lines in the file at ``path``, and
+    (line_number, message) for each line that is not UTF-8, malformed, not
+    an object, fails validation or repeats an id. ``to_record(raw, lineno)``
+    validates one parsed object; None skips it."""
     records: list[DatasetRecord] = []
     errors: list[tuple[int, str]] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(fh, start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-        except ValueError as exc:
-            errors.append((lineno, f"invalid JSON: {exc}"))
-            continue
-        if not isinstance(raw, dict):
-            errors.append((lineno, "record must be a JSON object"))
-            continue
-        try:
-            record = to_record(raw, lineno)
-            if record is None:
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            if record.id in seen_ids:
-                raise ValueError(f"duplicate id {record.id!r}")
-            seen_ids.add(record.id)
-            records.append(record)
-        except ValueError as exc:
-            errors.append((lineno, str(exc)))
+            # An ASCII line holds no undecodable byte, and isascii() costs O(1).
+            if not line.isascii() and (undecodable := _UNDECODABLE.search(line)):
+                errors.append((lineno, f"not UTF-8: byte 0x{ord(undecodable.group()) - 0xDC00:02x}"))
+                continue
+            try:
+                raw = json.loads(line)
+            except ValueError as exc:
+                errors.append((lineno, f"invalid JSON: {exc}"))
+                continue
+            if not isinstance(raw, dict):
+                errors.append((lineno, "record must be a JSON object"))
+                continue
+            try:
+                record = to_record(raw, lineno)
+                if record is None:
+                    continue
+                if record.id in seen_ids:
+                    raise ValueError(f"duplicate id {record.id!r}")
+                seen_ids.add(record.id)
+                records.append(record)
+            except ValueError as exc:
+                errors.append((lineno, str(exc)))
     return LoadResult(records=records, errors=errors)
 
 
@@ -131,9 +141,6 @@ def load_corpus(
     Lenient mode (default) loads the valid lines and reports the malformed
     ones as (line_number, message) pairs; strict mode fails the whole load.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
 
     def to_record(raw, lineno: int) -> DatasetRecord | None:
         if lineno == 1 and raw.get("schema") == CORPUS_SCHEMA:
@@ -142,8 +149,7 @@ def load_corpus(
             return None
         return _validate_record(raw, schema)
 
-    with path.open("r", encoding="utf-8") as fh:
-        loaded = _read_records(fh, to_record)
+    loaded = _read_records(Path(path), to_record)
     if strict and loaded.errors:
         raise _violation(path, loaded.errors)
     return loaded
@@ -237,8 +243,7 @@ def convert_corpus(source: str | Path, dest: str | Path, source_format: str) -> 
             raise ValueError(f"missing field: {exc}") from exc
         return _validate_record(canonical, CorpusSchema.GENERIC)
 
-    with Path(source).open("r", encoding="utf-8") as fh:
-        loaded = _read_records(fh, to_record)
+    loaded = _read_records(Path(source), to_record)
     if loaded.errors:
         raise _violation(source, loaded.errors)
     if not loaded.records:

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package. Each class carries the
+exit code a command ends with when it escapes: 2 for bad input, 3 for a
+backend failure, 1 for an internal error (library code misused)."""
 
 from __future__ import annotations
 
@@ -6,13 +8,19 @@ from __future__ import annotations
 class SummitError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+
 
 class ConfigError(SummitError):
-    """Invalid session or run configuration."""
+    """Invalid session or run configuration, or an unusable input file."""
+
+    exit_code = 2
 
 
 class BackendError(SummitError):
-    """Base class for completion-backend failures."""
+    """Base class for completion-backend and remote-endpoint failures."""
+
+    exit_code = 3
 
 
 class TransportError(BackendError):
@@ -35,7 +43,7 @@ class ReplayMiss(BackendError):
     """Replay mode was asked for a request that is not in the cache."""
 
 
-class BudgetExceeded(SummitError):
+class BudgetExceeded(BackendError):
     """The session's configured token budget was hit."""
 
     def __init__(self, message: str, partial_trace=None):
@@ -43,11 +51,11 @@ class BudgetExceeded(SummitError):
         self.partial_trace = partial_trace
 
 
-class ParseError(SummitError):
+class ParseError(BackendError):
     """Evaluator output could not be parsed (strict mode only)."""
 
 
-class MissingSlot(SummitError):
+class MissingSlot(ConfigError):
     """A template references a slot the render context does not supply."""
 
     def __init__(self, slot: str):
@@ -55,7 +63,7 @@ class MissingSlot(SummitError):
         self.slot = slot
 
 
-class RemoteUnavailable(SummitError):
+class RemoteUnavailable(BackendError):
     """A remote annotation/scoring endpoint could not be reached."""
 
 
@@ -67,11 +75,11 @@ class EmptyInput(SummitError):
     """An aggregation was asked to summarize zero values."""
 
 
-class SampleTooLarge(SummitError):
+class SampleTooLarge(ConfigError):
     """Requested sample size exceeds the corpus size."""
 
 
-class SchemaViolation(SummitError):
+class SchemaViolation(ConfigError):
     """Corpus records failed validation (strict loading)."""
 
     def __init__(self, message: str, line_numbers: list[int] | None = None):
@@ -79,5 +87,5 @@ class SchemaViolation(SummitError):
         self.line_numbers = line_numbers or []
 
 
-class MissingStats(SummitError):
-    """A report was requested for a run directory without stats."""
+class MissingStats(ConfigError):
+    """A report was requested for a run directory without a readable stats file."""

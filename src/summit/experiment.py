@@ -20,7 +20,7 @@ from . import metrics
 from ._version import __version__
 from .backend import BackendSettings, CompletionBackend, ServedFrom, backend_factory
 from .cache import ResponseCache
-from .config import coerce, environment, is_set, mapping, params_of, resolve_settings
+from .config import coerce, environment, is_set, key_paths, mapping, params_of, resolve_settings
 from .corpus import CorpusSchema, DatasetRecord, SampleSpec, Split, load_corpus, sample
 from .errors import ConfigError, SummitError
 from .knowledge import TripletExtractor, build_extractor
@@ -120,13 +120,11 @@ class RunManifest:
         path = Path(path)
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"manifest not found: {path}") from None
         except ValueError as exc:
             raise ConfigError(f"manifest is not valid JSON: {exc}") from None
         if not isinstance(data, dict) or data.get("schema") != MANIFEST_SCHEMA:
             raise ConfigError(f"not a run manifest: {path}")
-        unknown = sorted(_key_paths(data) - _KNOWN_KEYS)
+        unknown = sorted(key_paths(data) - _KNOWN_KEYS)
         if unknown:
             raise ConfigError(f"unknown manifest key {unknown[0]!r} in {path}")
         data = {**data, "name": data.get("name") or path.stem}
@@ -176,14 +174,9 @@ def _encode(value):
     return value
 
 
-def _key_paths(data: dict) -> set[str]:
-    """The keys of a manifest, as "section.key" inside sections."""
-    return set(data) | {f"{s}.{key}" for s, value in data.items() if isinstance(value, dict) for key in value}
-
-
 #: Every key a manifest may hold: those of a default manifest, the API key
 #: (never written out) and the provenance an emitted manifest adds.
-_KNOWN_KEYS = _key_paths(
+_KNOWN_KEYS = key_paths(
     RunManifest(name="", corpus_path=Path(), sample=SampleSpec(1, 0), session_params={}, output_dir=Path()).to_dict()
 ) | {"backend.api_key", "prompt_fingerprint", "package_version"}
 
@@ -364,10 +357,7 @@ def run_experiment(
         else None
     )
     traces = manifest.output_dir / "traces"
-    try:
-        traces.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise ConfigError(f"cannot make the traces directory {traces}: a file is in its path") from None
+    traces.mkdir(parents=True, exist_ok=True)
 
     def process(record: DatasetRecord) -> tuple[Usage, dict | str]:
         """Run, score and write one document: its usage, and its scores or its error."""

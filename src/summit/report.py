@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MissingStats
+from .experiment import STATS_SCHEMA
 
 MISSING_CELL = "—"
 
@@ -34,10 +35,18 @@ class ReportRow:
 
 
 def load_run_stats(run_dir: str | Path) -> dict:
+    """The stats of a run directory; MissingStats when it has no stats file
+    this package wrote."""
     stats_path = Path(run_dir) / "stats.json"
     if not stats_path.exists():
         raise MissingStats(f"no stats.json in {run_dir}")
-    return json.loads(stats_path.read_text(encoding="utf-8"))
+    try:
+        stats = json.loads(stats_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise MissingStats(f"{stats_path} is not valid JSON: {exc}") from None
+    if not isinstance(stats, dict) or stats.get("schema") != STATS_SCHEMA:
+        raise MissingStats(f"not a run's stats file: {stats_path}")
+    return stats
 
 
 def build_rows(run_dirs: list[str | Path], include_init: bool = False) -> list[ReportRow]:

@@ -12,11 +12,20 @@ from click.testing import CliRunner
 
 import summit.cli as cli
 import summit.experiment as experiment
-from helpers import QUALITY_SCRIPT, make_corpus_file, write_script
+from helpers import QUALITY_SCRIPT, RecordingBackend, make_corpus_file, write_script
 from summit.cache import ResponseCache
 from summit.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_PARTIAL, main
 from summit.config import resolve_backend_settings
 from summit.corpus import load_corpus, write_corpus
+from summit.errors import (
+    DegenerateDistribution,
+    EmptyInput,
+    MissingSlot,
+    ParseError,
+    SchemaViolation,
+    SummitError,
+    TransportError,
+)
 from summit.experiment import RunManifest, run_experiment
 from summit.trace_io import read_trace
 
@@ -173,6 +182,76 @@ def test_summarize_live_without_base_url(runner, tmp_path, monkeypatch):
     assert "base URL" in result.output
 
 
+@pytest.mark.parametrize("from_file", [True, False])
+def test_summarize_rejects_a_document_that_is_not_utf8(runner, tmp_path, from_file):
+    script = write_script(tmp_path / "script.json", QUALITY_SCRIPT)
+    doc = tmp_path / "bad.txt"
+    doc.write_bytes(b"A report \xff on the pier.")
+    args = ["summarize", "--backend", "scripted", "--script", str(script)]
+    if from_file:
+        args += ["--doc", str(doc)]
+    result = runner.invoke(main, args, input=None if from_file else doc.read_bytes())
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert f"document {doc if from_file else 'on stdin'} is not UTF-8" in result.output
+
+
+def test_summarize_strict_on_an_unparseable_reply_is_a_backend_error(runner, tmp_path):
+    script = write_script(
+        tmp_path / "script.json",
+        [QUALITY_SCRIPT[0], {"match": "Please evaluate", "response": "It reads well."}],
+    )
+    result = runner.invoke(
+        main, ["summarize", "--doc", str(write_doc(tmp_path)), "--backend", "scripted", "--script", str(script), "--strict"]
+    )
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == EXIT_BACKEND, result.output
+    assert "backend error: no score distribution" in result.output
+
+
+def test_summarize_into_an_unwritable_trace_path_fails_before_any_call(runner, tmp_path, monkeypatch):
+    backends = []
+    build_parts = cli.build_parts
+
+    def recording_parts(*args, **kwargs):
+        prompts, exemplars, factory, extractor, cache = build_parts(*args, **kwargs)
+
+        def recording_factory():
+            backends.append(RecordingBackend(factory()))
+            return backends[-1]
+
+        return prompts, exemplars, recording_factory, extractor, cache
+
+    monkeypatch.setattr(cli, "build_parts", recording_parts)
+    script = write_script(tmp_path / "script.json", QUALITY_SCRIPT)
+    (tmp_path / "d.txt").write_text("a regular file", encoding="utf-8")
+    args = ["summarize", "--doc", str(write_doc(tmp_path)), "--backend", "scripted", "--script", str(script)]
+    result = runner.invoke(main, args + ["--trace-out", str(tmp_path / "d.txt" / "x")])
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert str(tmp_path / "d.txt") in result.output
+    assert [r for backend in backends for r in backend.requests] == []
+    # The same command with a usable path sends its requests through the recorder.
+    assert runner.invoke(main, args + ["--trace-out", str(tmp_path / "t" / "x")]).exit_code == 0
+    assert len(backends[-1].requests) == len(QUALITY_SCRIPT)
+
+
+def test_summarize_prints_a_lone_surrogate_as_its_escape(runner, tmp_path):
+    script = write_script(
+        tmp_path / "script.json", [{"match": "Please summarize", "response": "Init \udfff summary."}, QUALITY_SCRIPT[1]]
+    )
+    result = runner.invoke(
+        main,
+        [
+            "summarize", "--doc", str(write_doc(tmp_path)), "--backend", "scripted",
+            "--script", str(script), "--max-iters", "1", "--trace-out", str(tmp_path / "trace.jsonl"),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[-1] == "Init \\udfff summary."
+    assert read_trace(tmp_path / "trace.jsonl")[-1].summary_text == "Init \udfff summary."
+
+
 # --- run-exp -----------------------------------------------------------------------
 
 
@@ -282,6 +361,19 @@ def test_run_exp_rejects_a_corpus_with_a_torn_line(runner, tmp_path):
     assert result.exit_code == EXIT_CONFIG, result.output
     assert "line(s) 4" in result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run-exp", "replay"])
+def test_a_corpus_line_that_is_not_utf8_is_a_config_error(runner, tmp_path, command):
+    records = make_corpus_file(tmp_path / "corpus.jsonl", 6)
+    with (tmp_path / "corpus.jsonl").open("ab") as fh:
+        fh.write(b'{"id": "bad", "document": "A report \xff on the pier.", "summaries": ["Pier."]}\n')
+    manifest = make_manifest(tmp_path, n=5, corpus_records=records)
+    result = runner.invoke(main, [command, str(manifest)])
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert "line(s) 8" in result.output and "not UTF-8: byte 0xff" in result.output
+    assert not (tmp_path / "out" / "stats.json").exists()
 
 
 def test_replay_reproduces_stats_with_zero_live_calls(runner, tmp_path):
@@ -702,6 +794,9 @@ def _config_file(text):
         ("summarize", _config_file("backend: [1]\n"), "backend must be a mapping"),
         ("summarize", _config_file("knowledge: 3\n"), "knowledge must be a mapping"),
         ("summarize", _config_file("backend: {cache: 5}\n"), "cache must be a path string"),
+        ("summarize", _config_file("backend: {cahce: c.jsonl}\n"), "unknown config key 'backend.cahce'"),
+        ("summarize", _config_file("knowlege: {endpoint: http://localhost:9000}\n"), "unknown config key 'knowlege'"),
+        ("summarize", _config_file("backend: {rmp: 5}\nknowledge: {endpont: x}\n"), "unknown config key 'backend.rmp'"),
     ],
 )
 def test_malformed_inputs_exit_with_config_error(runner, tmp_path, command, breakage, message):
@@ -785,6 +880,20 @@ def test_report_missing_stats(runner, tmp_path):
     empty.mkdir()
     result = runner.invoke(main, ["report", str(empty)])
     assert result.exit_code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [('{"run": ', "is not valid JSON"), ("[1, 2]", "not a run's stats file"), ('{"run": {}}', "not a run's stats file")],
+    ids=["torn", "not-an-object", "no-schema"],
+)
+def test_report_rejects_an_unreadable_stats_file(runner, tmp_path, content, message):
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "stats.json").write_text(content, encoding="utf-8")
+    result = runner.invoke(main, ["report", str(tmp_path / "run")])
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert message in result.output and str(tmp_path / "run" / "stats.json") in result.output
 
 
 # --- convert / config ----------------------------------------------------------------
@@ -880,6 +989,43 @@ def test_offline_commands_leave_requests_unloaded(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert (out / "stats.json").read_bytes() == (replayed / "stats.json").read_bytes()
+
+
+# --- exit codes ----------------------------------------------------------------------
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_carries_a_documented_exit_code():
+    classes = [SummitError, *_subclasses(SummitError)]
+    assert len(classes) > 10
+    assert {cls.exit_code for cls in classes} == {1, 2, 3}
+    assert {cls for cls in classes if cls.exit_code == 1} == {SummitError, EmptyInput, DegenerateDistribution}
+
+
+@pytest.mark.parametrize(
+    "exc, prefix, code",
+    [
+        (SchemaViolation("bad line"), "error: bad line", EXIT_CONFIG),
+        (MissingSlot("topic"), "error: missing template slot: 'topic'", EXIT_CONFIG),
+        (TransportError("gave up"), "backend error: gave up", EXIT_BACKEND),
+        (ParseError("no scores"), "backend error: no scores", EXIT_BACKEND),
+        (EmptyInput("no values"), "internal error: no values", 1),
+        (IsADirectoryError(21, "Is a directory", "some/path"), "error: [Errno 21] Is a directory: 'some/path'", EXIT_CONFIG),
+    ],
+)
+def test_the_error_handler_prints_each_family_prefix_and_exits_with_its_code(capsys, exc, prefix, code):
+    def fail():
+        raise exc
+
+    with pytest.raises(SystemExit) as exited:
+        cli._handle_errors(fail)()
+    assert exited.value.code == code
+    assert capsys.readouterr().err == prefix + "\n"
 
 
 def test_version_flag(runner):

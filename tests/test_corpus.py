@@ -20,7 +20,8 @@ from summit.errors import SampleTooLarge, SchemaViolation
 
 
 def write_lines(path, lines):
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # A lone surrogate from \udc80 to \udcff is written as the byte it escapes.
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     return path
 
 
@@ -212,8 +213,9 @@ def test_convert_cnn_dm_and_newts(tmp_path):
         ([json.dumps({"id": "x", "document": "body", "summary": "one"})] * 2, None),
         ([json.dumps({"id": "a/b", "document": "body", "summary": "one"})], None),
         (["[1, 2]"], "line 1: record must be a JSON object"),
+        (['{"id": "x", "document": "body \udcff", "summary": "one"}'], "line 1: not UTF-8: byte 0xff"),
     ],
-    ids=["no-records", "duplicate-id", "id-with-slash", "not-an-object"],
+    ids=["no-records", "duplicate-id", "id-with-slash", "not-an-object", "not-utf8"],
 )
 def test_convert_refuses_what_load_corpus_would(tmp_path, lines, message):
     src = write_lines(tmp_path / "xsum.jsonl", lines)
