@@ -45,7 +45,9 @@ def _handle_errors(fn):
         except SummitError as exc:
             click.echo(f"{_PREFIXES.get(exc.exit_code, 'error')}: {exc}", err=True)
             sys.exit(exc.exit_code)
-        except OSError as exc:  # its message names the path
+        except OSError as exc:
+            if exc.filename is None:  # no path to name: not an input error
+                raise
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import json
 import random
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,44 +80,40 @@ def _validate_record(raw: dict, schema: CorpusSchema) -> DatasetRecord:
     return DatasetRecord(id=rec_id, document=document, summaries=summaries, topics=topics)
 
 
-#: A byte that is not UTF-8, as the surrogateescape error handler reads it.
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
-
-
-def _read_records(path: Path, to_record) -> LoadResult:
-    """The records of the JSON lines in the file at ``path``, and
+def _read_records(fh, to_record) -> LoadResult:
+    """The records of the JSON lines in the binary file ``fh``, and
     (line_number, message) for each line that is not UTF-8, malformed, not
     an object, fails validation or repeats an id. ``to_record(raw, lineno)``
     validates one parsed object; None skips it."""
     records: list[DatasetRecord] = []
     errors: list[tuple[int, str]] = []
     seen_ids: set[str] = set()
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+    for lineno, data in enumerate(fh, start=1):
+        try:
+            line = data.decode("utf-8")  # per line, so a bad byte names its line
+        except UnicodeDecodeError as exc:
+            errors.append((lineno, f"not UTF-8: {exc}"))
+            continue
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+        except ValueError as exc:
+            errors.append((lineno, f"invalid JSON: {exc}"))
+            continue
+        if not isinstance(raw, dict):
+            errors.append((lineno, "record must be a JSON object"))
+            continue
+        try:
+            record = to_record(raw, lineno)
+            if record is None:
                 continue
-            # An ASCII line holds no undecodable byte, and isascii() costs O(1).
-            if not line.isascii() and (undecodable := _UNDECODABLE.search(line)):
-                errors.append((lineno, f"not UTF-8: byte 0x{ord(undecodable.group()) - 0xDC00:02x}"))
-                continue
-            try:
-                raw = json.loads(line)
-            except ValueError as exc:
-                errors.append((lineno, f"invalid JSON: {exc}"))
-                continue
-            if not isinstance(raw, dict):
-                errors.append((lineno, "record must be a JSON object"))
-                continue
-            try:
-                record = to_record(raw, lineno)
-                if record is None:
-                    continue
-                if record.id in seen_ids:
-                    raise ValueError(f"duplicate id {record.id!r}")
-                seen_ids.add(record.id)
-                records.append(record)
-            except ValueError as exc:
-                errors.append((lineno, str(exc)))
+            if record.id in seen_ids:
+                raise ValueError(f"duplicate id {record.id!r}")
+            seen_ids.add(record.id)
+            records.append(record)
+        except ValueError as exc:
+            errors.append((lineno, str(exc)))
     return LoadResult(records=records, errors=errors)
 
 
@@ -149,7 +144,8 @@ def load_corpus(
             return None
         return _validate_record(raw, schema)
 
-    loaded = _read_records(Path(path), to_record)
+    with Path(path).open("rb") as fh:
+        loaded = _read_records(fh, to_record)
     if strict and loaded.errors:
         raise _violation(path, loaded.errors)
     return loaded
@@ -243,7 +239,8 @@ def convert_corpus(source: str | Path, dest: str | Path, source_format: str) -> 
             raise ValueError(f"missing field: {exc}") from exc
         return _validate_record(canonical, CorpusSchema.GENERIC)
 
-    loaded = _read_records(Path(source), to_record)
+    with Path(source).open("rb") as fh:
+        loaded = _read_records(fh, to_record)
     if loaded.errors:
         raise _violation(source, loaded.errors)
     if not loaded.records:

@@ -372,7 +372,7 @@ def test_a_corpus_line_that_is_not_utf8_is_a_config_error(runner, tmp_path, comm
     result = runner.invoke(main, [command, str(manifest)])
     assert isinstance(result.exception, SystemExit)
     assert result.exit_code == EXIT_CONFIG, result.output
-    assert "line(s) 8" in result.output and "not UTF-8: byte 0xff" in result.output
+    assert "line(s) 8" in result.output and "not UTF-8: 'utf-8' codec can't decode byte 0xff" in result.output
     assert not (tmp_path / "out" / "stats.json").exists()
 
 
@@ -1027,6 +1027,19 @@ def test_the_error_handler_prints_each_family_prefix_and_exits_with_its_code(cap
     assert exited.value.code == code
     assert capsys.readouterr().err == prefix + "\n"
 
+
+
+@pytest.mark.parametrize(
+    "exc", [OSError(28, "No space left on device"), BrokenPipeError(32, "Broken pipe")], ids=["enospc", "epipe"]
+)
+def test_the_error_handler_lets_an_os_error_that_names_no_path_keep_its_traceback(capsys, exc):
+    def fail():
+        raise exc
+
+    with pytest.raises(OSError) as raised:
+        cli._handle_errors(fail)()
+    assert raised.value is exc
+    assert capsys.readouterr().err == ""
 
 def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])

@@ -213,7 +213,10 @@ def test_convert_cnn_dm_and_newts(tmp_path):
         ([json.dumps({"id": "x", "document": "body", "summary": "one"})] * 2, None),
         ([json.dumps({"id": "a/b", "document": "body", "summary": "one"})], None),
         (["[1, 2]"], "line 1: record must be a JSON object"),
-        (['{"id": "x", "document": "body \udcff", "summary": "one"}'], "line 1: not UTF-8: byte 0xff"),
+        (
+            ['{"id": "x", "document": "body \udcff", "summary": "one"}'],
+            "line 1: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 30: invalid start byte",
+        ),
     ],
     ids=["no-records", "duplicate-id", "id-with-slash", "not-an-object", "not-utf8"],
 )
