@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Protocol
 
-from .cache import ResponseCache
+from .cache import CachedReply, ResponseCache
 from .errors import AuthError, ConfigError, ReplayMiss, ScriptExhausted, ScriptMismatch, TransportError
 from .throttle import RateLimiter
 from .types import SessionConfig
@@ -310,17 +310,16 @@ class HttpBackend:
         try:
             data = json.loads(body)
             text = data["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed completion response: {exc}") from exc
-        usage = data.get("usage") or {}
-        return CompletionResponse(
-            text=text,
-            usage=TokenUsage(
+            if not isinstance(text, str):
+                raise TypeError(f"content is {type(text).__name__}, not a string")
+            usage = data.get("usage") or {}
+            usage = TokenUsage(
                 prompt_tokens=int(usage.get("prompt_tokens", 0)),
                 completion_tokens=int(usage.get("completion_tokens", 0)),
-            ),
-            served_from=ServedFrom.LIVE,
-        )
+            )
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+            raise TransportError(f"malformed completion response: {exc}") from exc
+        return CompletionResponse(text=text, usage=usage, served_from=ServedFrom.LIVE)
 
 
 # --- scripted mock ---------------------------------------------------------
@@ -409,9 +408,11 @@ class CachedBackend:
         key = cache_key(request)
         hit = self.cache.get(key)
         if hit is not None:
-            return _response_from_record(hit)
+            return _response_from_reply(hit)
         response = self.inner.complete(request)
-        self.cache.put(key, _request_summary(request), _response_to_record(response))
+        usage = response.usage
+        reply = CachedReply(response.text, usage.prompt_tokens, usage.completion_tokens)
+        self.cache.put(key, _request_summary(request), reply.record())
         return response
 
 
@@ -428,29 +429,12 @@ class ReplayBackend:
                 f"no cached response for request (tag={request.request_tag!r}); "
                 "run the experiment once with a cache configured before replaying"
             )
-        return _response_from_record(hit)
+        return _response_from_reply(hit)
 
 
-def _response_to_record(response: CompletionResponse) -> dict:
-    return {
-        "text": response.text,
-        "usage": {
-            "prompt_tokens": response.usage.prompt_tokens,
-            "completion_tokens": response.usage.completion_tokens,
-        },
-    }
-
-
-def _response_from_record(record: dict) -> CompletionResponse:
-    usage = record.get("usage") or {}
-    return CompletionResponse(
-        text=record["text"],
-        usage=TokenUsage(
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
-        ),
-        served_from=ServedFrom.CACHE,
-    )
+def _response_from_reply(reply: CachedReply) -> CompletionResponse:
+    usage = TokenUsage(prompt_tokens=reply.prompt_tokens, completion_tokens=reply.completion_tokens)
+    return CompletionResponse(text=reply.text, usage=usage, served_from=ServedFrom.CACHE)
 
 
 # --- construction -------------------------------------------------------------

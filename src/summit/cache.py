@@ -4,7 +4,8 @@ File layout: one header line ``{"schema": "summit/cache", "version": 1}``
 followed by one JSON record per line: ``{"key", "request", "response"}``.
 The whole file is loaded at startup (last record wins per key) and every
 write is appended and flushed immediately, so a cache file doubles as a
-replay log for an entire experiment. A writer holds one append handle, with
+replay log for an entire experiment. In memory each key keeps only its
+reply: text and two token counts. A writer holds one append handle, with
 an exclusive lock on the file, from ``claim()`` or its first write until
 ``close()``; a second writer is refused rather than left to interleave
 lines. Reading takes no lock.
@@ -18,7 +19,7 @@ import logging
 import os
 import threading
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .errors import ConfigError
 
@@ -28,13 +29,41 @@ CACHE_SCHEMA = "summit/cache"
 CACHE_VERSION = 1
 
 
+class CachedReply(NamedTuple):
+    """One cached completion: its text and token counts."""
+
+    text: str
+    prompt_tokens: int
+    completion_tokens: int
+
+    @classmethod
+    def from_record(cls, response: object) -> CachedReply:
+        """The reply a cache record's ``response`` holds; ValueError unless
+        it is an object with a string ``text`` and integer usage counts (a
+        missing ``usage`` or count reads as 0)."""
+        if not isinstance(response, dict) or not isinstance(text := response.get("text"), str):
+            raise ValueError("response has no string text")
+        usage = response.get("usage") or {}
+        if not isinstance(usage, dict):
+            raise ValueError("usage is not an object")
+        prompt, completion = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
+        if type(prompt) is not int or type(completion) is not int:
+            raise ValueError("a usage count is not an integer")
+        return cls(text, prompt, completion)
+
+    def record(self) -> dict:
+        """The ``response`` object of this reply's cache record."""
+        usage = {"prompt_tokens": self.prompt_tokens, "completion_tokens": self.completion_tokens}
+        return {"text": self.text, "usage": usage}
+
+
 class ResponseCache:
-    """In-memory key -> response map, persisted append-only when given a path."""
+    """In-memory key -> reply map, persisted append-only when given a path."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
-        self._entries: dict[str, dict] = {}
+        self._entries: dict[str, CachedReply] = {}
         self._fh: TextIO | None = None
         if self.path is not None and self.path.exists():
             self._load()
@@ -45,28 +74,33 @@ class ResponseCache:
             if not header:
                 return
             meta = json.loads(header)
-            if meta.get("schema") != CACHE_SCHEMA:
+            if not isinstance(meta, dict) or meta.get("schema") != CACHE_SCHEMA:
                 raise ValueError(f"not a cache file: {self.path}")
             if meta.get("version") != CACHE_VERSION:
                 raise ValueError(f"unsupported cache version {meta.get('version')!r}")
             for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
+                if line.isspace():
                     continue
                 try:
                     record = json.loads(line)
-                    self._entries[record["key"]] = record["response"]
-                except (ValueError, KeyError):
-                    # Tolerate a torn tail record from an interrupted run.
+                    self._entries[record["key"]] = CachedReply.from_record(record["response"])
+                except (ValueError, KeyError, TypeError):
+                    # A torn tail record from an interrupted run, or a record
+                    # of the wrong shape; an earlier good one for its key stays.
                     log.warning("skipping malformed cache record at %s:%d", self.path, lineno)
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: str) -> dict | None:
+    def get(self, key: str) -> CachedReply | None:
         with self._lock:
             return self._entries.get(key)
 
     def put(self, key: str, request_summary: dict, response: dict) -> None:
+        """Append the record ``{key, request, response}`` and keep its reply;
+        ValueError, before anything is written, when ``response`` does not
+        hold one (see ``CachedReply.from_record``)."""
+        reply = CachedReply.from_record(response)
         with self._lock:
             if self.path is not None:
                 if self._fh is None:
@@ -79,7 +113,7 @@ class ResponseCache:
                     + "\n"
                 )
                 self._fh.flush()
-            self._entries[key] = response
+            self._entries[key] = reply
 
     def claim(self) -> None:
         """Take the append handle and its lock now rather than at the first

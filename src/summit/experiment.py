@@ -315,7 +315,7 @@ def _check_peek_guard(manifest: RunManifest, fingerprint: str, acknowledge_peek:
         old = json.loads(existing.read_text(encoding="utf-8"))
     except ValueError:
         return
-    old_fp = old.get("prompt_fingerprint")
+    old_fp = old.get("prompt_fingerprint") if isinstance(old, dict) else None
     if old_fp and old_fp != fingerprint and not acknowledge_peek:
         raise ConfigError(
             "prompts changed since this test-split run directory was created; "
@@ -330,8 +330,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Process the manifest's sample and write traces + stats to its output dir.
 
-    Each document's trace is written as soon as the document is scored;
-    stats.json and calls.json are written once every document is done."""
+    The emitted manifest is written before the first session and each
+    document's trace as soon as its session ends; stats.json and calls.json
+    are written once every document is done."""
     manifest = manifest.resolved()
     prompts, exemplars, factory, extractor, cache = build_parts(
         manifest.backend, manifest.prompts_dir, manifest.exemplars_path, manifest.shots,
@@ -369,16 +370,19 @@ def run_experiment(
         doc = Document(id=record.id, text=record.document)
         try:
             trace = run_session(doc, config, factory(), prompts, extractor, usage=usage)
-            scores = _doc_metrics(record, trace, manifest, topic, scorer)
+            # Written before scoring, so a scorer outage keeps the finished session.
+            write_trace(trace, traces / f"{record.id}.jsonl")
+            return usage, _doc_metrics(record, trace, manifest, topic, scorer)
         except SummitError as exc:
             return usage, f"{type(exc).__name__}: {exc}"
-        write_trace(trace, traces / f"{record.id}.jsonl")
-        return usage, scores
 
     try:
         claim_cache(manifest.backend, cache)
         for stale in traces.glob("*.jsonl"):
             stale.unlink()  # an earlier run's; the traces directory holds this run's alone
+        # Written before any session, so an interrupted run can be replayed.
+        emitted = {**manifest.to_dict(), "prompt_fingerprint": fingerprint, "package_version": __version__}
+        _write_json(manifest.output_dir / "manifest.json", emitted)
         if manifest.workers == 1 or len(records) <= 1:
             outcomes = [process(r) for r in records]
         else:
@@ -388,15 +392,15 @@ def run_experiment(
         if cache is not None:
             cache.close()  # only sessions write to it
 
-    return _write_outputs(manifest, fingerprint, records, outcomes)
+    return _write_outputs(manifest, records, outcomes)
 
 
 def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_outputs(manifest, fingerprint, records, outcomes) -> ExperimentResult:
-    """stats.json, calls.json, failures.jsonl and the emitted manifest.
+def _write_outputs(manifest, records, outcomes) -> ExperimentResult:
+    """stats.json, calls.json and failures.jsonl.
     Call origins count every document's calls; token totals only those of
     completed documents."""
     outdir = manifest.output_dir
@@ -443,8 +447,6 @@ def _write_outputs(manifest, fingerprint, records, outcomes) -> ExperimentResult
             for metric, values in sorted(per_metric[label].items())
         }
 
-    emitted = {**manifest.to_dict(), "prompt_fingerprint": fingerprint, "package_version": __version__}
-    _write_json(outdir / "manifest.json", emitted)
     _write_json(outdir / "stats.json", stats)
     calls = {"schema": CALLS_SCHEMA, "version": 1, "mode": manifest.backend.mode, "calls": counts, "usage": usage_total}
     _write_json(outdir / "calls.json", calls)

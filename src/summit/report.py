@@ -46,7 +46,28 @@ def load_run_stats(run_dir: str | Path) -> dict:
         raise MissingStats(f"{stats_path} is not valid JSON: {exc}") from None
     if not isinstance(stats, dict) or stats.get("schema") != STATS_SCHEMA:
         raise MissingStats(f"not a run's stats file: {stats_path}")
+    problem = _shape_problem(stats)
+    if problem:
+        raise MissingStats(f"{stats_path}: {problem}")
     return stats
+
+
+def _shape_problem(stats: dict) -> str | None:
+    """What in a stats body ``build_rows`` could not read, or None."""
+    run = stats.get("run", {})
+    if not isinstance(run, dict) or not isinstance(run.get("name") or "", str):
+        return "'run' is not an object with a string name"
+    phases = stats.get("metrics", {})
+    if not isinstance(phases, dict):
+        return "'metrics' is not an object"
+    for phase, table in phases.items():
+        if not isinstance(table, dict):
+            return f"metrics.{phase} is not an object"
+        for key, summary in table.items():
+            mean = summary.get("mean") if isinstance(summary, dict) else None
+            if type(mean) not in (int, float):
+                return f"metrics.{phase}.{key} has no numeric mean"
+    return None
 
 
 def build_rows(run_dirs: list[str | Path], include_init: bool = False) -> list[ReportRow]:

@@ -25,7 +25,7 @@ from summit.backend import (
     estimate_tokens,
     load_script,
 )
-from summit.cache import ResponseCache
+from summit.cache import CachedReply, ResponseCache
 from summit.errors import AuthError, ConfigError, ReplayMiss, ScriptExhausted, ScriptMismatch, TransportError
 
 
@@ -304,6 +304,21 @@ def test_backoff_is_exponential():
     assert sleeps == [0.5, 1.0, 2.0]
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        json.dumps({"choices": [{"message": {"content": None}}]}),
+        json.dumps({"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": "many"}}),
+        json.dumps({"choices": [{"message": {"content": "x"}}], "usage": [3]}),
+    ],
+    ids=["null-content", "count-not-a-number", "usage-not-an-object"],
+)
+def test_a_reply_the_cache_could_not_hold_is_a_transport_error(body):
+    backend = HttpBackend("http://x", transport=FakeTransport([(200, body)]), sleep=no_sleep)
+    with pytest.raises(TransportError, match="malformed completion response"):
+        backend.complete(make_request())
+
+
 def test_malformed_body_is_transport_error():
     transport = FakeTransport([(200, "not json")])
     backend = HttpBackend("http://x", transport=transport, sleep=no_sleep)
@@ -407,7 +422,47 @@ def test_cache_tolerates_torn_tail(tmp_path):
     with path.open("a", encoding="utf-8") as fh:
         fh.write('{"key": "half')
     reloaded = ResponseCache(path)
-    assert reloaded.get("k") == {"text": "x", "usage": {}}
+    assert reloaded.get("k") == CachedReply("x", 0, 0)
+
+
+def test_get_returns_the_replys_text_and_token_counts(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put("k", {}, {"text": "x", "usage": {"prompt_tokens": 7, "completion_tokens": 3}})
+    cache.close()
+    for source in (cache, ResponseCache(path)):
+        reply = source.get("k")
+        assert reply == CachedReply(text="x", prompt_tokens=7, completion_tokens=3)
+        assert reply.record() == {"text": "x", "usage": {"prompt_tokens": 7, "completion_tokens": 3}}
+
+
+@pytest.mark.parametrize(
+    "response",
+    [None, "x", {"usage": {}}, {"text": 5}, {"text": "y", "usage": [1]}, {"text": "y", "usage": {"prompt_tokens": "x"}},
+     {"text": "y", "usage": {"completion_tokens": 1.5}}, {"text": "y", "usage": {"prompt_tokens": True}}],
+    ids=["null", "string", "no-text", "text-not-a-string", "usage-not-an-object", "count-a-string", "count-a-float", "count-a-bool"],
+)
+def test_a_later_malformed_record_leaves_the_earlier_reply(tmp_path, caplog, response):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put("k", {}, {"text": "x", "usage": {}})
+    cache.close()
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"key": "k", "request": {}, "response": response}) + "\n")
+        fh.write(json.dumps(["k"]) + "\n")
+    assert ResponseCache(path).get("k") == CachedReply("x", 0, 0)
+    assert f"skipping malformed cache record at {path}:3" in caplog.text
+    assert f"skipping malformed cache record at {path}:4" in caplog.text
+    with pytest.raises(ValueError):
+        ResponseCache(path).put("k", {}, response)
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 4
+
+
+def test_a_header_that_is_not_an_object_is_not_a_cache_file(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text("[1]\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="not a cache file"):
+        ResponseCache(path)
 
 
 def test_second_writer_is_refused_until_the_first_closes(tmp_path):

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import summit.cli as cli
 import summit.experiment as experiment
 from helpers import QUALITY_SCRIPT, RecordingBackend, make_corpus_file, write_script
-from summit.cache import ResponseCache
+from summit.cache import CachedReply, ResponseCache
 from summit.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_PARTIAL, main
 from summit.config import resolve_backend_settings
 from summit.corpus import load_corpus, write_corpus
@@ -106,6 +106,61 @@ def test_summarize_fills_a_new_cache_that_replay_serves(runner, tmp_path):
     replayed = runner.invoke(main, ["summarize", "--doc", str(doc), "--backend", "replay", "--cache", cache])
     assert replayed.exit_code == 0, replayed.output
     assert replayed.output == first.output
+
+
+def _break_first_record(cache: Path, breakage) -> dict:
+    """Apply ``breakage`` to the response of the cache's first record; the
+    record as it was."""
+    lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])
+    broken = json.loads(lines[1])
+    breakage(broken["response"])
+    lines[1] = json.dumps(broken) + "\n"
+    cache.write_text("".join(lines), encoding="utf-8")
+    return record
+
+
+_BROKEN_REPLIES = pytest.mark.parametrize(
+    "breakage",
+    [lambda response: response.pop("text"), lambda response: response["usage"].update(prompt_tokens="x")],
+    ids=["no-text", "prompt-tokens-not-an-integer"],
+)
+
+
+def _summarize_with_cache(runner, tmp_path, mode: str):
+    doc = write_doc(tmp_path)
+    script = write_script(tmp_path / "script.json", QUALITY_SCRIPT)
+    args = ["summarize", "--doc", str(doc), "--backend", mode, "--cache", str(tmp_path / "cache.jsonl")]
+    return runner.invoke(main, args + (["--script", str(script)] if mode == "scripted" else []))
+
+
+@_BROKEN_REPLIES
+def test_summarize_replay_over_a_malformed_record_is_a_replay_miss(runner, tmp_path, caplog, breakage):
+    assert _summarize_with_cache(runner, tmp_path, "scripted").exit_code == 0
+    cache = tmp_path / "cache.jsonl"
+    _break_first_record(cache, breakage)
+    replayed = _summarize_with_cache(runner, tmp_path, "replay")
+    assert isinstance(replayed.exception, SystemExit)
+    assert replayed.exit_code == EXIT_BACKEND, replayed.output
+    assert "no cached response" in replayed.output
+    assert f"skipping malformed cache record at {cache}:2" in caplog.text
+
+
+@_BROKEN_REPLIES
+def test_a_scripted_run_over_a_malformed_record_asks_the_script_and_appends_it(runner, tmp_path, breakage):
+    first = _summarize_with_cache(runner, tmp_path, "scripted")
+    assert first.exit_code == 0, first.output
+    cache = tmp_path / "cache.jsonl"
+    original = _break_first_record(cache, breakage)
+    lines = len(cache.read_text(encoding="utf-8").splitlines())
+    again = _summarize_with_cache(runner, tmp_path, "scripted")
+    assert again.exit_code == 0, again.output
+    assert again.output == first.output
+    appended = cache.read_text(encoding="utf-8").splitlines()[lines:]
+    assert [json.loads(line) for line in appended] == [original]
+    usage = original["response"]["usage"]
+    expected = CachedReply("Initial summary of the document.", usage["prompt_tokens"], usage["completion_tokens"])
+    assert ResponseCache(cache).get(original["key"]) == expected
 
 
 def test_summarize_reads_stdin(runner, tmp_path):
@@ -351,6 +406,49 @@ def test_finished_traces_survive_a_later_crash(tmp_path, monkeypatch):
         assert read_trace(traces / f"{doc_id}.jsonl")[-1].stopped_by.value == "evaluator_stop"
 
 
+def test_an_interrupted_run_leaves_the_manifest_a_complete_run_writes(tmp_path, monkeypatch):
+    path = make_manifest(tmp_path, n=4)
+    manifest = dataclasses.replace(RunManifest.from_file(path), workers=1)
+    started = []
+    real_run_session = experiment.run_session
+
+    def interrupt_the_second_document(doc, *args, **kwargs):
+        started.append(doc.id)
+        if len(started) == 2:
+            raise KeyboardInterrupt
+        return real_run_session(doc, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_session", interrupt_the_second_document)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(manifest)
+    emitted = tmp_path / "out" / "manifest.json"
+    interrupted = emitted.read_bytes()
+    assert not (tmp_path / "out" / "stats.json").exists()
+
+    monkeypatch.setattr(experiment, "run_session", real_run_session)
+    run_experiment(manifest)
+    assert interrupted == emitted.read_bytes()
+
+
+def test_a_scorer_outage_keeps_the_finished_sessions(runner, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr(requests, "post", refuse)
+    path = make_manifest(tmp_path, n=3)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["faithfulness"] = {"endpoint": "http://scorer.example/score"}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    result = runner.invoke(main, ["run-exp", str(path)])
+    assert result.exit_code == EXIT_PARTIAL, result.output
+    out = tmp_path / "out"
+    failures = [json.loads(line) for line in (out / "failures.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert len(failures) == 3 and all(f["error"].startswith("RemoteUnavailable") for f in failures)
+    for failure in failures:
+        steps = read_trace(out / "traces" / f"{failure['document_id']}.jsonl")
+        assert steps[-1].summary_text == "Refined summary of the document."
+
+
 def test_run_exp_rejects_a_corpus_with_a_torn_line(runner, tmp_path):
     records = make_corpus_file(tmp_path / "corpus.jsonl", 6)
     lines = (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
@@ -396,6 +494,18 @@ def test_replay_reproduces_stats_with_zero_live_calls(runner, tmp_path):
         assert calls["calls"]["live"] == 0
         assert calls["calls"]["script"] == 0
         assert calls["calls"]["cache"] > 0
+
+
+@_BROKEN_REPLIES
+def test_replay_over_a_malformed_record_fails_that_document_alone(runner, tmp_path, caplog, breakage):
+    manifest = make_manifest(tmp_path, n=3)
+    assert runner.invoke(main, ["run-exp", str(manifest)]).exit_code == 0
+    _break_first_record(tmp_path / "cache.jsonl", breakage)
+    result = runner.invoke(main, ["replay", str(tmp_path / "out" / "manifest.json"), "--out", str(tmp_path / "r")])
+    assert result.exit_code == EXIT_PARTIAL, result.output
+    failures = (tmp_path / "r" / "failures.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(failures) == 1 and json.loads(failures[0])["error"].startswith("ReplayMiss")
+    assert f"skipping malformed cache record at {tmp_path / 'cache.jsonl'}:2" in caplog.text
 
 
 def test_a_run_with_lone_surrogates_completes_and_replays_identically(runner, tmp_path):
@@ -457,9 +567,18 @@ def test_peek_guard_on_test_split(runner, tmp_path):
     blocked = runner.invoke(main, ["run-exp", str(manifest)])
     assert blocked.exit_code == EXIT_CONFIG
     assert "acknowledge-peek" in blocked.output
+    assert json.loads(emitted.read_text(encoding="utf-8")) == data
 
     allowed = runner.invoke(main, ["run-exp", str(manifest), "--acknowledge-peek"])
     assert allowed.exit_code == 0, allowed.output
+
+
+def test_peek_guard_passes_an_old_manifest_that_is_not_an_object(runner, tmp_path):
+    manifest = make_manifest(tmp_path, n=2, split="test")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "manifest.json").write_text("[1]", encoding="utf-8")
+    result = runner.invoke(main, ["run-exp", str(manifest)])
+    assert result.exit_code == 0, result.output
 
 
 def test_estimate_prints_projection(runner, tmp_path):
@@ -884,8 +1003,14 @@ def test_report_missing_stats(runner, tmp_path):
 
 @pytest.mark.parametrize(
     "content, message",
-    [('{"run": ', "is not valid JSON"), ("[1, 2]", "not a run's stats file"), ('{"run": {}}', "not a run's stats file")],
-    ids=["torn", "not-an-object", "no-schema"],
+    [
+        ('{"run": ', "is not valid JSON"),
+        ("[1, 2]", "not a run's stats file"),
+        ('{"run": {}}', "not a run's stats file"),
+        ('{"schema": "summit/stats", "run": 5}', "'run' is not an object"),
+        ('{"schema": "summit/stats", "metrics": {"final": {"rouge1": 3}}}', "metrics.final.rouge1 has no numeric mean"),
+    ],
+    ids=["torn", "not-an-object", "no-schema", "run-not-an-object", "metric-without-mean"],
 )
 def test_report_rejects_an_unreadable_stats_file(runner, tmp_path, content, message):
     (tmp_path / "run").mkdir()
