@@ -15,15 +15,12 @@ from __future__ import annotations
 
 import fcntl
 import json
-import logging
 import os
 import threading
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
 from .errors import ConfigError
-
-log = logging.getLogger(__name__)
 
 CACHE_SCHEMA = "summit/cache"
 CACHE_VERSION = 1
@@ -69,25 +66,30 @@ class ResponseCache:
             self._load()
 
     def _load(self) -> None:
-        with self.path.open("r", encoding="utf-8") as fh:
+        with self.path.open("rb") as fh:
             header = fh.readline()
             if not header:
                 return
-            meta = json.loads(header)
+            meta = json.loads(header.decode("utf-8"))
             if not isinstance(meta, dict) or meta.get("schema") != CACHE_SCHEMA:
                 raise ValueError(f"not a cache file: {self.path}")
             if meta.get("version") != CACHE_VERSION:
                 raise ValueError(f"unsupported cache version {meta.get('version')!r}")
-            for lineno, line in enumerate(fh, start=2):
-                if line.isspace():
+            for lineno, data in enumerate(fh, start=2):
+                if data.isspace():
                     continue
                 try:
-                    record = json.loads(line)
+                    # Decoded per line, so a record torn inside a character skips that line alone.
+                    record = json.loads(data.decode("utf-8"))
                     self._entries[record["key"]] = CachedReply.from_record(record["response"])
                 except (ValueError, KeyError, TypeError):
                     # A torn tail record from an interrupted run, or a record
                     # of the wrong shape; an earlier good one for its key stays.
-                    log.warning("skipping malformed cache record at %s:%d", self.path, lineno)
+                    import logging  # here, so that a run that logs nothing does not pay for importing it
+
+                    logging.getLogger(__name__).warning(
+                        "skipping malformed cache record at %s:%d", self.path, lineno
+                    )
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, get_type_hints
@@ -386,6 +385,9 @@ def run_experiment(
         if manifest.workers == 1 or len(records) <= 1:
             outcomes = [process(r) for r in records]
         else:
+            # Here, so that a one-worker run does not pay for importing it.
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=manifest.workers) as pool:
                 outcomes = list(pool.map(process, records))
     finally:

@@ -9,13 +9,10 @@ claim of parity with a real extractor.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Protocol
 
 from .errors import RemoteUnavailable
-
-log = logging.getLogger(__name__)
 
 NAIVE_CONFIDENCE = 0.5
 PROMPT_TRIPLET_LIMIT = 20
@@ -197,7 +194,11 @@ class FallbackExtractor:
         try:
             return self.primary.extract(text)
         except RemoteUnavailable as exc:
-            log.warning("remote extractor unavailable (%s); using naive fallback", exc)
+            import logging  # here, so that a run that logs nothing does not pay for importing it
+
+            logging.getLogger(__name__).warning(
+                "remote extractor unavailable (%s); using naive fallback", exc
+            )
             return self.fallback.extract(text)
 
 

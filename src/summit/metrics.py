@@ -16,15 +16,12 @@ candidates tokenizes each text, and counts each reference's n-grams, once.
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DegenerateDistribution, EmptyInput, RemoteUnavailable
-
-log = logging.getLogger(__name__)
 
 # Maximal runs of alphanumeric characters; underscore counts as a separator.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -141,7 +138,9 @@ def expected_score(distribution: dict[int, float]) -> float:
     if total == 0:
         raise DegenerateDistribution("distribution has zero total mass")
     if not math.isclose(total, 1.0, abs_tol=_SUM_TOLERANCE):
-        log.debug("renormalizing score distribution with mass %.6f", total)
+        import logging  # here, so that a run that logs nothing does not pay for importing it
+
+        logging.getLogger(__name__).debug("renormalizing score distribution with mass %.6f", total)
         distribution = {k: v / total for k, v in distribution.items()}
     # A mass within the tolerance of 1 is not renormalized, and could carry
     # the expectation just past either end of the scale.

@@ -54,10 +54,10 @@ def trace_records(trace: SessionTrace) -> list[dict]:
 
 
 def write_trace(trace: SessionTrace, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write ``trace`` to ``path``, whose parent directory must exist
+    (FileNotFoundError otherwise)."""
     # A lone surrogate is written as its \uXXXX JSON escape.
-    with path.open("w", encoding="utf-8", errors="backslashreplace") as fh:
+    with Path(path).open("w", encoding="utf-8", errors="backslashreplace") as fh:
         fh.write(json.dumps({"schema": TRACE_SCHEMA, "version": TRACE_VERSION}) + "\n")
         for record in trace_records(trace):
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")

@@ -414,15 +414,22 @@ def test_cache_file_has_versioned_header(tmp_path):
     assert header == {"schema": "summit/cache", "version": 1}
 
 
-def test_cache_tolerates_torn_tail(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(path)
-    cache.put("k", {}, {"text": "x", "usage": {}})
-    cache.close()
-    with path.open("a", encoding="utf-8") as fh:
-        fh.write('{"key": "half')
-    reloaded = ResponseCache(path)
-    assert reloaded.get("k") == CachedReply("x", 0, 0)
+def test_cache_tolerates_torn_tail(tmp_path, caplog):
+    naive = json.dumps({"key": "n", "request": {}, "response": {"text": "naïve"}}, ensure_ascii=False)
+    cut_inside_a_character = naive.encode("utf-8")[: naive.index("ï") + 1]
+    assert cut_inside_a_character.endswith(b"\xc3")
+    for i, tail in enumerate((b'{"key": "half', cut_inside_a_character)):
+        path = tmp_path / f"cache{i}.jsonl"
+        cache = ResponseCache(path)
+        cache.put("k", {}, {"text": "x", "usage": {}})
+        cache.close()
+        with path.open("ab") as fh:
+            fh.write(tail)
+        caplog.clear()
+        reloaded = ResponseCache(path)
+        assert reloaded.get("k") == CachedReply("x", 0, 0)
+        assert reloaded.get("n") is None
+        assert f"skipping malformed cache record at {path}:3" in caplog.text
 
 
 def test_get_returns_the_replys_text_and_token_counts(tmp_path):

@@ -1092,8 +1092,32 @@ def test_config_precedence_flags_env_file(tmp_path, monkeypatch):
 
 
 def test_importing_the_experiment_runner_leaves_yaml_unloaded():
-    code = "import sys, summit.experiment; sys.exit('yaml' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
+    # logging loads with the first warning, the thread pool with workers > 1.
+    code = (
+        "import sys, summit.experiment, summit.cli\n"
+        "sys.exit(sorted({'yaml', 'logging', 'concurrent.futures'} & set(sys.modules)) or None)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
+def test_one_worker_commands_leave_logging_unloaded(tmp_path):
+    # In a fresh interpreter, since pytest imports logging itself.
+    manifest = make_manifest(tmp_path, n=3)
+    out, replayed = tmp_path / "out", tmp_path / "replayed"
+    commands = [
+        ["run-exp", str(manifest), "--workers", "1"],
+        ["replay", str(out / "manifest.json"), "--out", str(replayed), "--workers", "1"],
+    ]
+    code = (
+        "import sys, summit.cli\n"
+        f"for args in {commands!r}:\n"
+        "    summit.cli.main(args, standalone_mode=False)\n"
+        "sys.exit(sorted({'logging', 'concurrent.futures'} & set(sys.modules)) or None)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert (out / "stats.json").read_bytes() == (replayed / "stats.json").read_bytes()
 
 
 def test_offline_commands_leave_requests_unloaded(tmp_path):
