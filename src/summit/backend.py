@@ -10,7 +10,6 @@ works; nothing is vendor-specific.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 import re
 import time
@@ -24,6 +23,19 @@ from .cache import CachedReply, ResponseCache
 from .errors import AuthError, ConfigError, ReplayMiss, ScriptExhausted, ScriptMismatch, TransportError
 from .throttle import RateLimiter
 from .types import SessionConfig
+
+# SHA-256 for cache_key and PromptRegistry.fingerprint, from CPython's
+# built-in module: hashlib maps OpenSSL's libcrypto, over 3 MiB resident.
+# hashlib remains the fallback where neither built-in is compiled. The
+# name stays ``hashlib`` because perfbench/tracer.py and the tests replace
+# summit.backend.hashlib to count the bytes cache_key hashes.
+try:
+    import _sha256 as hashlib  # CPython 3.10-3.11
+except ImportError:
+    try:
+        import _sha2 as hashlib  # CPython 3.12+
+    except ImportError:
+        import hashlib
 
 DEFAULT_MAX_ATTEMPTS = 4
 DEFAULT_TIMEOUT = 120.0

@@ -74,7 +74,7 @@ def main():
 @click.option("--base-url", default=None, help="Chat-completions base URL.")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--exemplars", type=click.Path(exists=True, dir_okay=False), default=None, help="JSONL exemplar file for few-shot prompts.")
-@click.option("--shots", type=int, default=DEFAULT_SHOTS, show_default=True)
+@click.option("--shots", type=click.IntRange(min=0), default=DEFAULT_SHOTS, show_default=True, help="Exemplars per prompt; 0 means none.")
 @click.option("--prompts-dir", type=click.Path(exists=True, file_okay=False), default=None, help="Override the packaged prompt templates.")
 @click.option("--temperature", type=float, default=SessionConfig.temperature, show_default=True)
 @click.option("--max-output-tokens", type=int, default=SessionConfig.max_output_tokens, show_default=True)
@@ -136,11 +136,13 @@ def summarize(
 def _load_manifest(manifest_path, mode, out, workers):
     manifest = RunManifest.from_file(manifest_path)
     changes = {}
-    if mode:
+    if mode is not None:
         changes["backend"] = dataclasses.replace(manifest.backend, mode=mode)
-    if out:
+    if out is not None:
+        if not out:
+            raise ConfigError("--out must name a directory")
         changes["output_dir"] = Path(out).resolve()
-    if workers:
+    if workers is not None:
         changes["workers"] = workers
     return dataclasses.replace(manifest, **changes) if changes else manifest
 

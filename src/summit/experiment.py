@@ -75,6 +75,8 @@ class RunManifest:
     def __post_init__(self):
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.shots < 0:
+            raise ConfigError("shots must be >= 0")
         # Validate the non-topic template knobs early; control runs may defer
         # the topic itself to per-record data.
         try:
@@ -181,10 +183,12 @@ _KNOWN_KEYS = key_paths(
 
 
 def load_exemplars(path: str | Path, shots: int) -> list[Exemplar]:
-    """First ``shots`` entries of a JSONL exemplar file."""
+    """First ``shots`` entries of a JSONL exemplar file; none for 0."""
     exemplars = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for line in fh:
+            if len(exemplars) >= shots:
+                break
             if not line.strip():
                 continue
             raw = json.loads(line)
@@ -195,8 +199,6 @@ def load_exemplars(path: str | Path, shots: int) -> list[Exemplar]:
                     explanation=raw.get("explanation"),
                 )
             )
-            if len(exemplars) >= shots:
-                break
     return exemplars
 
 

@@ -11,13 +11,13 @@ and passes through verbatim.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .backend import hashlib
 from .errors import MissingSlot
 from .types import Exemplar
 
@@ -181,7 +181,13 @@ class PromptRegistry:
         return RenderedPrompt(system="".join(system), user="".join(user_parts), user_parts=user_parts)
 
     def fingerprint(self) -> str:
-        """Content hash over every template, for peek-guarding experiment runs."""
+        """Content hash over every template, for peek-guarding experiment runs.
+
+        SHA-256 over UTF-8: ``system/ROLE NUL text NUL`` per system template
+        in role order, ``ROLE/SETTING/STAGE NUL text NUL`` per user template
+        in key order, then the summarizer's and the evaluator's format
+        instructions.
+        """
         digest = hashlib.sha256()
         for role in sorted(self._systems, key=lambda r: r.value):
             digest.update(f"system/{role.value}\x00{self._systems[role]}\x00".encode("utf-8"))

@@ -14,6 +14,7 @@ from summit.backend import SCRIPT_SCHEMA, CompletionBackend, CompletionRequest, 
 from summit.corpus import DatasetRecord, write_corpus
 from summit.errors import MissingSlot
 from summit.knowledge import _AUX, _PARTICLES, NAIVE_CONFIDENCE, Triplet, _looks_like_verb
+from summit.prompting import EVALUATOR_FORMAT_INSTRUCTIONS, SUMMARIZER_FORMAT_INSTRUCTIONS
 from summit.types import EditKind
 
 # --- brute-force ROUGE oracles ----------------------------------------------
@@ -117,6 +118,22 @@ class _CountingHash:
 
     def __getattr__(self, name):
         return getattr(self._real, name)
+
+
+def fingerprint_oracle(directory) -> str:
+    """``hashlib.sha256``, in one call, over the byte layout that
+    ``PromptRegistry.fingerprint`` documents, read straight from the
+    template directory's ``manifest.json`` and files."""
+    manifest = json.loads(directory.joinpath("manifest.json").read_text(encoding="utf-8"))
+
+    def text(filename: str) -> str:
+        return directory.joinpath(filename).read_text(encoding="utf-8").rstrip("\n")
+
+    parts = [f"system/{role}\x00{text(name)}\x00" for role, name in sorted(manifest["system"].items())]
+    users = sorted(manifest["user"].items(), key=lambda item: item[0].split("/"))
+    parts += [f"{key}\x00{text(name)}\x00" for key, name in users]
+    parts += [SUMMARIZER_FORMAT_INSTRUCTIONS, EVALUATOR_FORMAT_INSTRUCTIONS]
+    return hashlib.sha256("".join(parts).encode("utf-8")).hexdigest()
 
 
 # --- template oracle ------------------------------------------------------------

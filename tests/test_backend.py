@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import re
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -215,6 +217,29 @@ def test_a_keyed_parent_is_continued_rather_than_hashed_again(monkeypatch):
     keys = [cache_key(first), cache_key(second)]
     assert keys == [cache_key_oracle(first), cache_key_oracle(second)]
     assert counter.started == 1
+
+
+def test_keys_and_fingerprint_are_the_same_where_only_hashlib_gives_sha256():
+    # In a fresh interpreter that blocks CPython's built-in SHA-256 modules.
+    code = (
+        "import sys\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import hashlib\n"
+        "from summit.backend import ChatMessage, CompletionRequest, Role, cache_key, hashlib as source\n"
+        "from importlib import resources\n"
+        "from summit import PromptRegistry\n"
+        "from helpers import cache_key_oracle, fingerprint_oracle\n"
+        "assert source is hashlib, source\n"
+        "system, user = ChatMessage(Role.SYSTEM, 's'), ChatMessage(Role.USER, 'caf\\u00e9 \\ud800')\n"
+        "first = CompletionRequest('m', (system, user), 0.7, 8)\n"
+        "second = CompletionRequest('m', (system, user, ChatMessage(Role.ASSISTANT, 'a'), user), 0.7, 8, parent=first)\n"
+        "for request in (first, second):\n"
+        "    assert cache_key(request) == cache_key_oracle(request), request\n"
+        "assert PromptRegistry.load().fingerprint() == fingerprint_oracle(resources.files('summit') / 'templates')\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("temperatures", [(0.0, -0.0), (-0.0, 0.0)])

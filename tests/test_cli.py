@@ -890,6 +890,10 @@ def _section_not_a_mapping(tmp_path, manifest):
     manifest["backend"] = [1]
 
 
+def _negative_shots(tmp_path, manifest):
+    manifest["session"]["shots"] = -1
+
+
 def _config_file(text):
     def write(tmp_path, manifest):
         (tmp_path / "config.yaml").write_text(text, encoding="utf-8")
@@ -910,6 +914,7 @@ def _config_file(text):
         ("run-exp", _float_for_int, "max_iterations"),
         ("run-exp", _bool_for_int, "workers"),
         ("run-exp", _section_not_a_mapping, "backend must be a mapping"),
+        ("run-exp", _negative_shots, "shots must be >= 0"),
         ("summarize", _config_file("backend: [1]\n"), "backend must be a mapping"),
         ("summarize", _config_file("knowledge: 3\n"), "knowledge must be a mapping"),
         ("summarize", _config_file("backend: {cache: 5}\n"), "cache must be a path string"),
@@ -933,6 +938,31 @@ def test_malformed_inputs_exit_with_config_error(runner, tmp_path, command, brea
     result = runner.invoke(main, args)
     assert result.exit_code == EXIT_CONFIG, result.output
     assert message in result.output
+
+
+def test_summarize_refuses_a_negative_shot_count(runner, tmp_path):
+    script = write_script(tmp_path / "script.json", QUALITY_SCRIPT)
+    args = ["summarize", "--doc", str(write_doc(tmp_path)), "--backend", "scripted", "--script", str(script)]
+    result = runner.invoke(main, [*args, "--shots", "-1"])
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert "--shots" in result.output
+
+
+@pytest.mark.parametrize("shots, expected", [(0, 0), (1, 1), (2, 2), (5, 3)])
+def test_load_exemplars_takes_the_first_shots_entries(tmp_path, shots, expected):
+    path = tmp_path / "exemplars.jsonl"
+    lines = [json.dumps({"document": f"d{i}", "summary": f"s{i}"}) + "\n" for i in range(3)]
+    path.write_text("\n".join(lines), encoding="utf-8")  # with blank lines between
+    exemplars = experiment.load_exemplars(path, shots)
+    assert [e.document for e in exemplars] == [f"d{i}" for i in range(expected)]
+
+
+@pytest.mark.parametrize("command", ["run-exp", "replay"])
+@pytest.mark.parametrize("override", [["--workers", "0"], ["--out", ""]], ids=["workers-0", "empty-out"])
+def test_an_override_that_is_set_but_falsy_is_checked_not_ignored(runner, tmp_path, command, override):
+    result = runner.invoke(main, [command, str(make_manifest(tmp_path, n=2)), *override])
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert not (tmp_path / "out").exists()
 
 
 # --- report ------------------------------------------------------------------------
@@ -1092,10 +1122,11 @@ def test_config_precedence_flags_env_file(tmp_path, monkeypatch):
 
 
 def test_importing_the_experiment_runner_leaves_yaml_unloaded():
-    # logging loads with the first warning, the thread pool with workers > 1.
+    # logging loads with the first warning, the thread pool with workers > 1;
+    # _hashlib, OpenSSL's hashes, never loads offline.
     code = (
         "import sys, summit.experiment, summit.cli\n"
-        "sys.exit(sorted({'yaml', 'logging', 'concurrent.futures'} & set(sys.modules)) or None)\n"
+        "sys.exit(sorted({'yaml', 'logging', 'concurrent.futures', '_hashlib'} & set(sys.modules)) or None)\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
@@ -1133,7 +1164,7 @@ def test_offline_commands_leave_requests_unloaded(tmp_path):
         "import sys, summit, summit.cli\n"
         f"for args in {commands!r}:\n"
         "    summit.cli.main(args, standalone_mode=False)\n"
-        "sys.exit('requests' in sys.modules and 'requests was imported')\n"
+        "sys.exit(sorted({'requests', '_hashlib'} & set(sys.modules)) or None)\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr

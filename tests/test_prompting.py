@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import re
+from importlib import resources
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import render_oracle
+from helpers import fingerprint_oracle, render_oracle
 from summit.errors import MissingSlot
 from summit.prompting import (
     EVALUATOR_FORMAT_INSTRUCTIONS,
@@ -176,8 +177,6 @@ def test_no_exemplars_renders_empty_block():
 
 def test_registry_override_directory(tmp_path, registry):
     # Copy the packaged templates, tweak one, and load from the override path.
-    from importlib import resources
-
     src = resources.files("summit").joinpath("templates")
     for entry in src.iterdir():
         (tmp_path / entry.name).write_text(entry.read_text(encoding="utf-8"), encoding="utf-8")
@@ -192,11 +191,10 @@ def test_registry_override_directory(tmp_path, registry):
     )
     assert "Custom instruction." in rendered.user
     assert custom.fingerprint() != registry.fingerprint()
+    assert custom.fingerprint() == fingerprint_oracle(tmp_path)
 
 
 def test_incomplete_registry_rejected(tmp_path):
-    from importlib import resources
-
     src = resources.files("summit").joinpath("templates")
     for entry in src.iterdir():
         (tmp_path / entry.name).write_text(entry.read_text(encoding="utf-8"), encoding="utf-8")
@@ -209,3 +207,9 @@ def test_incomplete_registry_rejected(tmp_path):
 
 def test_fingerprint_stable(registry):
     assert registry.fingerprint() == PromptRegistry.load().fingerprint()
+
+
+def test_fingerprint_hashes_its_documented_layout(registry):
+    assert registry.fingerprint() == fingerprint_oracle(resources.files("summit").joinpath("templates"))
+    # The packaged templates' fingerprint, as every earlier run manifest records it.
+    assert registry.fingerprint() == "be2540a6a70671c17d442b85d7ea180c78393fa752eece32414ad9035b0351c9"
