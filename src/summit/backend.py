@@ -19,10 +19,10 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Protocol
 
-from .cache import CachedReply, ResponseCache
+from .cache import ResponseCache
 from .errors import AuthError, ConfigError, ReplayMiss, ScriptExhausted, ScriptMismatch, TransportError
 from .throttle import RateLimiter
-from .types import SessionConfig
+from .types import CompletionResponse, ServedFrom, SessionConfig
 
 # SHA-256 for cache_key and PromptRegistry.fingerprint, from CPython's
 # built-in module: hashlib maps OpenSSL's libcrypto, over 3 MiB resident.
@@ -49,12 +49,6 @@ class Role(enum.Enum):
     SYSTEM = "system"
     USER = "user"
     ASSISTANT = "assistant"
-
-
-class ServedFrom(enum.Enum):
-    LIVE = "live"
-    CACHE = "cache"
-    SCRIPT = "script"
 
 
 @dataclass(frozen=True)
@@ -154,19 +148,6 @@ class CompletionRequest:
             if message.role is Role.USER:
                 return message.content
         return ""
-
-
-@dataclass(frozen=True)
-class TokenUsage:
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-
-
-@dataclass(frozen=True)
-class CompletionResponse:
-    text: str
-    usage: TokenUsage
-    served_from: ServedFrom
 
 
 class CompletionBackend(Protocol):
@@ -325,13 +306,11 @@ class HttpBackend:
             if not isinstance(text, str):
                 raise TypeError(f"content is {type(text).__name__}, not a string")
             usage = data.get("usage") or {}
-            usage = TokenUsage(
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
-            )
+            prompt_tokens = int(usage.get("prompt_tokens", 0))
+            completion_tokens = int(usage.get("completion_tokens", 0))
         except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise TransportError(f"malformed completion response: {exc}") from exc
-        return CompletionResponse(text=text, usage=usage, served_from=ServedFrom.LIVE)
+        return CompletionResponse(text, prompt_tokens, completion_tokens, ServedFrom.LIVE)
 
 
 # --- scripted mock ---------------------------------------------------------
@@ -377,29 +356,43 @@ class ScriptedBackend:
             )
         self.cursor += 1
         prompt_tokens = sum(m.tokens for m in request.messages)
-        return CompletionResponse(
-            text=step.response,
-            usage=TokenUsage(prompt_tokens, estimate_tokens(step.response)),
-            served_from=ServedFrom.SCRIPT,
-        )
+        return CompletionResponse(step.response, prompt_tokens, estimate_tokens(step.response), ServedFrom.SCRIPT)
 
 
 SCRIPT_SCHEMA = "summit/script"
 
 
 def load_script(path: str | Path) -> list[ScriptStep]:
-    """Read a script file: ``{"schema", "version", "steps": [...]}``."""
+    """Read a script file: ``{"schema", "version", "steps": [...]}``.
+
+    ValueError, naming the step, unless ``steps`` is a list of objects each
+    with a string ``response``, a string or null ``match`` and a boolean
+    ``regex`` (default false), and each regex ``match`` compiles; so every
+    reply a script gives is checked before the first call.
+    """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if data.get("schema") != SCRIPT_SCHEMA:
+    if not isinstance(data, dict) or data.get("schema") != SCRIPT_SCHEMA:
         raise ValueError(f"not a script file: {path}")
-    return [
-        ScriptStep(
-            response=step["response"],
-            match=step.get("match"),
-            regex=bool(step.get("regex", False)),
-        )
-        for step in data["steps"]
-    ]
+    if not isinstance(data.get("steps"), list):
+        raise ValueError(f"{path}: steps must be a list")
+    steps = []
+    for index, raw in enumerate(data["steps"]):
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: step {index} is not an object")
+        step = ScriptStep(raw.get("response"), raw.get("match"), raw.get("regex", False))
+        if not isinstance(step.response, str):
+            raise ValueError(f"{path}: step {index} response must be a string")
+        if not isinstance(step.match, (str, type(None))):
+            raise ValueError(f"{path}: step {index} match must be a string or null")
+        if type(step.regex) is not bool:
+            raise ValueError(f"{path}: step {index} regex must be true or false")
+        if step.regex and step.match is not None:
+            try:
+                re.compile(step.match)
+            except re.error as exc:
+                raise ValueError(f"{path}: step {index} match is not a regular expression: {exc}") from None
+        steps.append(step)
+    return steps
 
 
 # --- cache wrapper and replay ----------------------------------------------
@@ -420,11 +413,9 @@ class CachedBackend:
         key = cache_key(request)
         hit = self.cache.get(key)
         if hit is not None:
-            return _response_from_reply(hit)
+            return hit
         response = self.inner.complete(request)
-        usage = response.usage
-        reply = CachedReply(response.text, usage.prompt_tokens, usage.completion_tokens)
-        self.cache.put(key, _request_summary(request), reply.record())
+        self.cache.put(key, _request_summary(request), response)
         return response
 
 
@@ -441,12 +432,7 @@ class ReplayBackend:
                 f"no cached response for request (tag={request.request_tag!r}); "
                 "run the experiment once with a cache configured before replaying"
             )
-        return _response_from_reply(hit)
-
-
-def _response_from_reply(reply: CachedReply) -> CompletionResponse:
-    usage = TokenUsage(prompt_tokens=reply.prompt_tokens, completion_tokens=reply.completion_tokens)
-    return CompletionResponse(text=reply.text, usage=usage, served_from=ServedFrom.CACHE)
+        return hit
 
 
 # --- construction -------------------------------------------------------------

@@ -4,11 +4,19 @@ File layout: one header line ``{"schema": "summit/cache", "version": 1}``
 followed by one JSON record per line: ``{"key", "request", "response"}``.
 The whole file is loaded at startup (last record wins per key) and every
 write is appended and flushed immediately, so a cache file doubles as a
-replay log for an entire experiment. In memory each key keeps only its
-reply: text and two token counts. A writer holds one append handle, with
-an exclusive lock on the file, from ``claim()`` or its first write until
-``close()``; a second writer is refused rather than left to interleave
-lines. Reading takes no lock.
+replay log for an entire experiment.
+
+A record's ``response`` is ``{"text", "usage": {"prompt_tokens",
+"completion_tokens"}}``; this module alone reads and writes that shape. In
+memory each key keeps one ``CompletionResponse`` served from ``CACHE``, and
+``get`` returns that very object. A reply is checked once, where it enters:
+a loaded record by ``_load``, which skips one of the wrong shape, a live
+reply when its body is parsed and a scripted one when its script is loaded.
+So ``put`` parses nothing.
+
+A writer holds one append handle, with an exclusive lock on the file, from
+``claim()`` or its first write until ``close()``; a second writer is
+refused rather than left to interleave lines. Reading takes no lock.
 """
 
 from __future__ import annotations
@@ -18,40 +26,13 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import TextIO
 
 from .errors import ConfigError
+from .types import CompletionResponse, ServedFrom
 
 CACHE_SCHEMA = "summit/cache"
 CACHE_VERSION = 1
-
-
-class CachedReply(NamedTuple):
-    """One cached completion: its text and token counts."""
-
-    text: str
-    prompt_tokens: int
-    completion_tokens: int
-
-    @classmethod
-    def from_record(cls, response: object) -> CachedReply:
-        """The reply a cache record's ``response`` holds; ValueError unless
-        it is an object with a string ``text`` and integer usage counts (a
-        missing ``usage`` or count reads as 0)."""
-        if not isinstance(response, dict) or not isinstance(text := response.get("text"), str):
-            raise ValueError("response has no string text")
-        usage = response.get("usage") or {}
-        if not isinstance(usage, dict):
-            raise ValueError("usage is not an object")
-        prompt, completion = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
-        if type(prompt) is not int or type(completion) is not int:
-            raise ValueError("a usage count is not an integer")
-        return cls(text, prompt, completion)
-
-    def record(self) -> dict:
-        """The ``response`` object of this reply's cache record."""
-        usage = {"prompt_tokens": self.prompt_tokens, "completion_tokens": self.completion_tokens}
-        return {"text": self.text, "usage": usage}
 
 
 class ResponseCache:
@@ -60,7 +41,7 @@ class ResponseCache:
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
-        self._entries: dict[str, CachedReply] = {}
+        self._entries: dict[str, CompletionResponse] = {}
         self._fh: TextIO | None = None
         if self.path is not None and self.path.exists():
             self._load()
@@ -81,8 +62,13 @@ class ResponseCache:
                 try:
                     # Decoded per line, so a record torn inside a character skips that line alone.
                     record = json.loads(data.decode("utf-8"))
-                    self._entries[record["key"]] = CachedReply.from_record(record["response"])
-                except (ValueError, KeyError, TypeError):
+                    key, response = record["key"], record["response"]
+                    text, usage = response["text"], response.get("usage") or {}
+                    prompt, completion = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
+                    if type(text) is not str or type(prompt) is not int or type(completion) is not int:
+                        raise ValueError("text is not a string or a usage count not an integer")
+                    self._entries[key] = CompletionResponse(text, prompt, completion, ServedFrom.CACHE)
+                except (ValueError, KeyError, TypeError, AttributeError):
                     # A torn tail record from an interrupted run, or a record
                     # of the wrong shape; an earlier good one for its key stays.
                     import logging  # here, so that a run that logs nothing does not pay for importing it
@@ -94,28 +80,22 @@ class ResponseCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: str) -> CachedReply | None:
+    def get(self, key: str) -> CompletionResponse | None:
         with self._lock:
             return self._entries.get(key)
 
-    def put(self, key: str, request_summary: dict, response: dict) -> None:
-        """Append the record ``{key, request, response}`` and keep its reply;
-        ValueError, before anything is written, when ``response`` does not
-        hold one (see ``CachedReply.from_record``)."""
-        reply = CachedReply.from_record(response)
+    def put(self, key: str, request_summary: dict, response: CompletionResponse) -> None:
+        """Append the record ``{key, request, response: {text, usage}}`` and
+        keep ``response``, as served from the cache."""
+        usage = {"prompt_tokens": response.prompt_tokens, "completion_tokens": response.completion_tokens}
+        record = {"key": key, "request": request_summary, "response": {"text": response.text, "usage": usage}}
         with self._lock:
             if self.path is not None:
                 if self._fh is None:
                     self._fh = self._open_for_append()
-                self._fh.write(
-                    json.dumps(
-                        {"key": key, "request": request_summary, "response": response},
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+                self._fh.write(json.dumps(record, ensure_ascii=False) + "\n")
                 self._fh.flush()
-            self._entries[key] = reply
+            self._entries[key] = response._replace(served_from=ServedFrom.CACHE)
 
     def claim(self) -> None:
         """Take the append handle and its lock now rather than at the first

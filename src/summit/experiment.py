@@ -17,7 +17,7 @@ from typing import Callable, get_type_hints
 
 from . import metrics
 from ._version import __version__
-from .backend import BackendSettings, CompletionBackend, ServedFrom, backend_factory
+from .backend import BackendSettings, CompletionBackend, backend_factory
 from .cache import ResponseCache
 from .config import coerce, environment, is_set, key_paths, mapping, params_of, resolve_settings
 from .corpus import CorpusSchema, DatasetRecord, SampleSpec, Split, load_corpus, sample
@@ -27,7 +27,7 @@ from .metrics import FaithfulnessScorer, aggregate, rouge_l_multi, rouge_n_multi
 from .prompting import DEFAULT_SHOTS, PromptRegistry
 from .session import run_session
 from .trace_io import write_trace
-from .types import Document, Exemplar, SessionConfig, SessionTrace, Setting, Usage
+from .types import Document, Exemplar, ServedFrom, SessionConfig, SessionTrace, Setting, Usage
 
 MANIFEST_SCHEMA = "summit/manifest"
 MANIFEST_VERSION = 1
@@ -183,22 +183,23 @@ _KNOWN_KEYS = key_paths(
 
 
 def load_exemplars(path: str | Path, shots: int) -> list[Exemplar]:
-    """First ``shots`` entries of a JSONL exemplar file; none for 0."""
+    """First ``shots`` entries of a JSONL exemplar file; none for 0. Each
+    is an object with a string ``document`` and ``summary`` and a string or
+    null ``explanation`` (ConfigError naming the file and line otherwise)."""
     exemplars = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if len(exemplars) >= shots:
                 break
             if not line.strip():
                 continue
-            raw = json.loads(line)
-            exemplars.append(
-                Exemplar(
-                    document=raw["document"],
-                    summary=raw["summary"],
-                    explanation=raw.get("explanation"),
-                )
-            )
+            raw = mapping(json.loads(line), f"exemplar at {path}:{lineno}")
+            exemplar = Exemplar(raw.get("document"), raw.get("summary"), raw.get("explanation"))
+            if not isinstance(exemplar.document, str) or not isinstance(exemplar.summary, str):
+                raise ConfigError(f"exemplar at {path}:{lineno} needs a string document and summary")
+            if not isinstance(exemplar.explanation, (str, type(None))):
+                raise ConfigError(f"exemplar at {path}:{lineno} has an explanation that is not a string")
+            exemplars.append(exemplar)
     return exemplars
 
 

@@ -18,6 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .backend import hashlib
+from .config import mapping
 from .errors import MissingSlot
 from .types import Exemplar
 
@@ -142,15 +143,16 @@ class PromptRegistry:
             root = resources.files("summit").joinpath("templates")
         else:
             root = Path(directory)
-        manifest = json.loads(root.joinpath("manifest.json").read_text(encoding="utf-8"))
+        path = root.joinpath("manifest.json")
+        manifest = mapping(json.loads(path.read_text(encoding="utf-8")), str(path))
         if manifest.get("schema") != "summit/prompts":
             raise ValueError(f"not a prompt manifest: {manifest.get('schema')!r}")
         systems = {
             PromptRole(role): root.joinpath(filename).read_text(encoding="utf-8").rstrip("\n")
-            for role, filename in manifest["system"].items()
+            for role, filename in mapping(manifest.get("system"), f"{path}: system").items()
         }
         users = {}
-        for key, filename in manifest["user"].items():
+        for key, filename in mapping(manifest.get("user"), f"{path}: user").items():
             role, setting, stage = key.split("/")
             users[(role, setting, stage)] = (
                 root.joinpath(filename).read_text(encoding="utf-8").rstrip("\n")

@@ -95,8 +95,8 @@ class ChatThread:
         response = backend.complete(request)
         self.last_request = request
         self.messages.append(ChatMessage(Role.ASSISTANT, response.text))
-        self.usage.prompt_tokens += response.usage.prompt_tokens
-        self.usage.completion_tokens += response.usage.completion_tokens
+        self.usage.prompt_tokens += response.prompt_tokens
+        self.usage.completion_tokens += response.completion_tokens
         self.usage.calls[response.served_from.value] += 1
         return response.text
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -37,6 +38,22 @@ class StopReason(enum.Enum):
     EVALUATOR_STOP = "evaluator_stop"
     MAX_ITERATIONS = "max_iterations"
     KEEP_ONLY = "keep_only"
+
+
+class ServedFrom(enum.Enum):
+    LIVE = "live"
+    CACHE = "cache"
+    SCRIPT = "script"
+
+
+class CompletionResponse(NamedTuple):
+    """One backend reply: its text, its two token counts and where it was
+    served from. The cache keeps this object per key, served from CACHE."""
+
+    text: str
+    prompt_tokens: int
+    completion_tokens: int
+    served_from: ServedFrom
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,12 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import summit.backend as backend_module
@@ -17,6 +18,7 @@ from summit.backend import (
     CachedBackend,
     ChatMessage,
     CompletionRequest,
+    CompletionResponse,
     HttpBackend,
     ReplayBackend,
     Role,
@@ -27,7 +29,7 @@ from summit.backend import (
     estimate_tokens,
     load_script,
 )
-from summit.cache import CachedReply, ResponseCache
+from summit.cache import ResponseCache
 from summit.errors import AuthError, ConfigError, ReplayMiss, ScriptExhausted, ScriptMismatch, TransportError
 
 
@@ -39,6 +41,10 @@ def make_request(content="hello", tag="t1", system="sys", temperature=0.0):
         max_output_tokens=64,
         request_tag=tag,
     )
+
+
+def live(text="x", prompt_tokens=0, completion_tokens=0) -> CompletionResponse:
+    return CompletionResponse(text, prompt_tokens, completion_tokens, ServedFrom.LIVE)
 
 
 def ok_body(text="response text", prompt_tokens=7, completion_tokens=3):
@@ -205,7 +211,7 @@ def test_cache_key_matches_the_one_call_serialization(chain, counting):
         request = chain[-1][0]
         assert cache_key(request) == cache_key_oracle(request)  # again, from the filled memos
     response = ScriptedBackend([ScriptStep(response="r")]).complete(request)
-    assert response.usage.prompt_tokens == sum(estimate_tokens(m.content) for m in request.messages)
+    assert response.prompt_tokens == sum(estimate_tokens(m.content) for m in request.messages)
 
 
 def test_a_keyed_parent_is_continued_rather_than_hashed_again(monkeypatch):
@@ -273,7 +279,7 @@ def test_live_success_parses_wire_shape():
     response = backend.complete(make_request("ping"))
     assert response.text == "done"
     assert response.served_from is ServedFrom.LIVE
-    assert response.usage.prompt_tokens == 7
+    assert response.prompt_tokens == 7
     call = transport.calls[0]
     assert call["url"] == "http://api.example/v1/chat/completions"
     assert call["headers"]["Authorization"] == "Bearer k"
@@ -359,7 +365,7 @@ def test_scripted_returns_matching_step():
     response = backend.complete(make_request("please evaluate this"))
     assert response.text == "Do nothing. <STOP>"
     assert response.served_from is ServedFrom.SCRIPT
-    assert response.usage.prompt_tokens > 0
+    assert response.prompt_tokens > 0
 
 
 def test_scripted_exhaustion():
@@ -411,9 +417,8 @@ def test_cache_hit_skips_inner_and_is_byte_identical():
     first = backend.complete(make_request("same content", tag="t1"))
     second = backend.complete(make_request("same content", tag="t2"))
     assert len(transport.calls) == 1
-    assert second.served_from is ServedFrom.CACHE
-    assert second.text == first.text
-    assert second.usage == first.usage
+    assert second == first._replace(served_from=ServedFrom.CACHE)
+    assert second is cache.get(cache_key(make_request("same content")))  # the stored object, unchanged
 
 
 def test_cache_persists_across_instances(tmp_path):
@@ -433,7 +438,7 @@ def test_cache_persists_across_instances(tmp_path):
 def test_cache_file_has_versioned_header(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResponseCache(path)
-    cache.put("k", {"model": "m"}, {"text": "x", "usage": {}})
+    cache.put("k", {"model": "m"}, live())
     cache.close()
     header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
     assert header == {"schema": "summit/cache", "version": 1}
@@ -446,26 +451,46 @@ def test_cache_tolerates_torn_tail(tmp_path, caplog):
     for i, tail in enumerate((b'{"key": "half', cut_inside_a_character)):
         path = tmp_path / f"cache{i}.jsonl"
         cache = ResponseCache(path)
-        cache.put("k", {}, {"text": "x", "usage": {}})
+        cache.put("k", {}, live())
         cache.close()
         with path.open("ab") as fh:
             fh.write(tail)
         caplog.clear()
         reloaded = ResponseCache(path)
-        assert reloaded.get("k") == CachedReply("x", 0, 0)
+        assert reloaded.get("k") == CompletionResponse("x", 0, 0, ServedFrom.CACHE)
         assert reloaded.get("n") is None
         assert f"skipping malformed cache record at {path}:3" in caplog.text
 
 
-def test_get_returns_the_replys_text_and_token_counts(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(path)
-    cache.put("k", {}, {"text": "x", "usage": {"prompt_tokens": 7, "completion_tokens": 3}})
-    cache.close()
-    for source in (cache, ResponseCache(path)):
-        reply = source.get("k")
-        assert reply == CachedReply(text="x", prompt_tokens=7, completion_tokens=3)
-        assert reply.record() == {"text": "x", "usage": {"prompt_tokens": 7, "completion_tokens": 3}}
+#: Reply text with lone surrogates, but no lone high surrogate directly
+#: followed by a low one: that pair reads back as one character, as in any JSON.
+_reply_text = st.text(
+    st.one_of(
+        st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff", "😀", '"', "\\", "\n", "\u2028"]),
+        st.characters(exclude_categories=()),
+    ),
+).map(lambda text: re.sub("([\ud800-\udbff])(?=[\udc00-\udfff])", "\\1x", text))
+
+
+@settings(max_examples=200)  # each example writes and reloads a file
+@given(_reply_text, st.integers(min_value=0), st.integers(min_value=0), st.sampled_from(ServedFrom))
+def test_get_returns_the_replys_text_and_token_counts(text, prompt_tokens, completion_tokens, served_from):
+    response = CompletionResponse(text, prompt_tokens, completion_tokens, served_from)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "cache.jsonl"
+        cache = ResponseCache(path)
+        cache.put("k", {"tag": "t"}, response)
+        cache.close()
+        for source in (cache, ResponseCache(path)):
+            assert source.get("k") == response._replace(served_from=ServedFrom.CACHE)
+        header, line, end = path.read_bytes().split(b"\n")
+    assert json.loads(header) == {"schema": "summit/cache", "version": 1} and end == b""
+    record = json.loads(line)
+    usage = {"prompt_tokens": prompt_tokens, "completion_tokens": completion_tokens}
+    assert record == {"key": "k", "request": {"tag": "t"}, "response": {"text": text, "usage": usage}}
+    # The documented key order, too.
+    assert list(record) == ["key", "request", "response"]
+    assert list(record["response"]) == ["text", "usage"] and list(record["response"]["usage"]) == list(usage)
 
 
 @pytest.mark.parametrize(
@@ -477,17 +502,14 @@ def test_get_returns_the_replys_text_and_token_counts(tmp_path):
 def test_a_later_malformed_record_leaves_the_earlier_reply(tmp_path, caplog, response):
     path = tmp_path / "cache.jsonl"
     cache = ResponseCache(path)
-    cache.put("k", {}, {"text": "x", "usage": {}})
+    cache.put("k", {}, live())
     cache.close()
     with path.open("a", encoding="utf-8") as fh:
         fh.write(json.dumps({"key": "k", "request": {}, "response": response}) + "\n")
         fh.write(json.dumps(["k"]) + "\n")
-    assert ResponseCache(path).get("k") == CachedReply("x", 0, 0)
+    assert ResponseCache(path).get("k") == CompletionResponse("x", 0, 0, ServedFrom.CACHE)
     assert f"skipping malformed cache record at {path}:3" in caplog.text
     assert f"skipping malformed cache record at {path}:4" in caplog.text
-    with pytest.raises(ValueError):
-        ResponseCache(path).put("k", {}, response)
-    assert len(path.read_text(encoding="utf-8").splitlines()) == 4
 
 
 def test_a_header_that_is_not_an_object_is_not_a_cache_file(tmp_path):
@@ -500,12 +522,12 @@ def test_a_header_that_is_not_an_object_is_not_a_cache_file(tmp_path):
 def test_second_writer_is_refused_until_the_first_closes(tmp_path):
     path = tmp_path / "cache.jsonl"
     first, second = ResponseCache(path), ResponseCache(path)
-    first.put("a", {}, {"text": "x", "usage": {}})
+    first.put("a", {}, live("x"))
     with pytest.raises(ConfigError, match=re.escape(str(path))):
-        second.put("b", {}, {"text": "y", "usage": {}})
+        second.put("b", {}, live("y"))
     assert second.get("b") is None
     first.close()
-    second.put("b", {}, {"text": "y", "usage": {}})
+    second.put("b", {}, live("y"))
     second.close()
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line).get("key") for line in lines] == [None, "a", "b"]
@@ -519,7 +541,7 @@ def test_threads_share_one_append_handle(tmp_path):
 
     def write(prefix: str) -> None:
         for i in range(50):
-            cache.put(f"{prefix}{i}", {}, {"text": prefix * 200, "usage": {}})
+            cache.put(f"{prefix}{i}", {}, live(prefix * 200))
 
     threads = [threading.Thread(target=write, args=(p,)) for p in "abcd"]
     interval = sys.getswitchinterval()

@@ -13,7 +13,8 @@ from click.testing import CliRunner
 import summit.cli as cli
 import summit.experiment as experiment
 from helpers import QUALITY_SCRIPT, RecordingBackend, make_corpus_file, write_script
-from summit.cache import CachedReply, ResponseCache
+from summit.backend import CompletionResponse, ServedFrom
+from summit.cache import ResponseCache
 from summit.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_PARTIAL, main
 from summit.config import resolve_backend_settings
 from summit.corpus import load_corpus, write_corpus
@@ -159,7 +160,9 @@ def test_a_scripted_run_over_a_malformed_record_asks_the_script_and_appends_it(r
     appended = cache.read_text(encoding="utf-8").splitlines()[lines:]
     assert [json.loads(line) for line in appended] == [original]
     usage = original["response"]["usage"]
-    expected = CachedReply("Initial summary of the document.", usage["prompt_tokens"], usage["completion_tokens"])
+    expected = CompletionResponse(
+        "Initial summary of the document.", usage["prompt_tokens"], usage["completion_tokens"], ServedFrom.CACHE
+    )
     assert ResponseCache(cache).get(original["key"]) == expected
 
 
@@ -690,7 +693,7 @@ def test_run_exp_into_a_path_that_is_a_file_is_a_config_error(runner, tmp_path, 
 def test_run_exp_refuses_a_cache_that_another_writer_holds(runner, tmp_path):
     manifest = make_manifest(tmp_path, n=3)
     holder = ResponseCache(tmp_path / "cache.jsonl")
-    holder.put("k", {}, {"text": "x", "usage": {}})
+    holder.put("k", {}, CompletionResponse("x", 0, 0, ServedFrom.LIVE))
     try:
         refused = runner.invoke(main, ["run-exp", str(manifest)])
     finally:
@@ -901,6 +904,34 @@ def _config_file(text):
     return write
 
 
+def _script_file(data):
+    def script(tmp_path, manifest):
+        (tmp_path / "script.json").write_text(json.dumps(data), encoding="utf-8")
+
+    return script
+
+
+def _script_step(**step):
+    return _script_file({"schema": "summit/script", "version": 1, "steps": [QUALITY_SCRIPT[0], step]})
+
+
+def _exemplar_line(data):
+    def exemplars(tmp_path, manifest):
+        (tmp_path / "exemplars.jsonl").write_text(json.dumps(data) + "\n", encoding="utf-8")
+        manifest["session"]["exemplars_path"] = "exemplars.jsonl"
+
+    return exemplars
+
+
+def _prompts_manifest(data):
+    def prompts(tmp_path, manifest):
+        (tmp_path / "prompts").mkdir()
+        (tmp_path / "prompts" / "manifest.json").write_text(json.dumps(data), encoding="utf-8")
+        manifest["prompts"] = {"dir": "prompts"}
+
+    return prompts
+
+
 @pytest.mark.parametrize(
     "command, breakage, message",
     [
@@ -915,6 +946,15 @@ def _config_file(text):
         ("run-exp", _bool_for_int, "workers"),
         ("run-exp", _section_not_a_mapping, "backend must be a mapping"),
         ("run-exp", _negative_shots, "shots must be >= 0"),
+        ("run-exp", _script_step(response=5), "step 1 response must be a string"),
+        ("summarize", _script_step(response="x", match=3), "step 1 match must be a string or null"),
+        ("summarize", _script_step(response="x", match="(", regex=True), "step 1 match is not a regular expression"),
+        ("summarize", _script_file([1, 2]), "not a script file"),
+        ("run-exp", _script_file({"schema": "summit/script", "steps": [5]}), "step 0 is not an object"),
+        ("run-exp", _exemplar_line([1, 2]), "exemplars.jsonl:1 must be a mapping"),
+        ("run-exp", _exemplar_line({"document": 5, "summary": "s"}), "exemplars.jsonl:1 needs a string document"),
+        ("run-exp", _prompts_manifest([1]), "manifest.json must be a mapping"),
+        ("run-exp", _prompts_manifest({"schema": "summit/prompts", "system": {}, "user": ["u"]}), "manifest.json: user must be a mapping"),
         ("summarize", _config_file("backend: [1]\n"), "backend must be a mapping"),
         ("summarize", _config_file("knowledge: 3\n"), "knowledge must be a mapping"),
         ("summarize", _config_file("backend: {cache: 5}\n"), "cache must be a path string"),
@@ -938,6 +978,7 @@ def test_malformed_inputs_exit_with_config_error(runner, tmp_path, command, brea
     result = runner.invoke(main, args)
     assert result.exit_code == EXIT_CONFIG, result.output
     assert message in result.output
+    assert not (tmp_path / "out").exists()  # refused before any output
 
 
 def test_summarize_refuses_a_negative_shot_count(runner, tmp_path):
