@@ -20,9 +20,9 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from .cache import ResponseCache
-from .errors import AuthError, ConfigError, ReplayMiss, ScriptExhausted, ScriptMismatch, TransportError
+from .errors import AuthError, ConfigError, ReplayMiss, ScriptExhausted, ScriptMismatch, TransportError, parse_json
 from .throttle import RateLimiter
-from .types import CompletionResponse, ServedFrom, SessionConfig
+from .types import CompletionResponse, ServedFrom, SessionConfig, token_counts
 
 # SHA-256 for cache_key and PromptRegistry.fingerprint, from CPython's
 # built-in module: hashlib maps OpenSSL's libcrypto, over 3 MiB resident.
@@ -305,9 +305,7 @@ class HttpBackend:
             text = data["choices"][0]["message"]["content"]
             if not isinstance(text, str):
                 raise TypeError(f"content is {type(text).__name__}, not a string")
-            usage = data.get("usage") or {}
-            prompt_tokens = int(usage.get("prompt_tokens", 0))
-            completion_tokens = int(usage.get("completion_tokens", 0))
+            prompt_tokens, completion_tokens = token_counts(data.get("usage"))
         except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise TransportError(f"malformed completion response: {exc}") from exc
         return CompletionResponse(text, prompt_tokens, completion_tokens, ServedFrom.LIVE)
@@ -370,7 +368,7 @@ def load_script(path: str | Path) -> list[ScriptStep]:
     ``regex`` (default false), and each regex ``match`` compiles; so every
     reply a script gives is checked before the first call.
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = parse_json(Path(path).read_bytes(), path)
     if not isinstance(data, dict) or data.get("schema") != SCRIPT_SCHEMA:
         raise ValueError(f"not a script file: {path}")
     if not isinstance(data.get("steps"), list):

@@ -28,8 +28,8 @@ import threading
 from pathlib import Path
 from typing import TextIO
 
-from .errors import ConfigError
-from .types import CompletionResponse, ServedFrom
+from .errors import ConfigError, parse_json
+from .types import CompletionResponse, ServedFrom, token_counts
 
 CACHE_SCHEMA = "summit/cache"
 CACHE_VERSION = 1
@@ -51,7 +51,7 @@ class ResponseCache:
             header = fh.readline()
             if not header:
                 return
-            meta = json.loads(header.decode("utf-8"))
+            meta = parse_json(header, self.path, 1)
             if not isinstance(meta, dict) or meta.get("schema") != CACHE_SCHEMA:
                 raise ValueError(f"not a cache file: {self.path}")
             if meta.get("version") != CACHE_VERSION:
@@ -63,10 +63,10 @@ class ResponseCache:
                     # Decoded per line, so a record torn inside a character skips that line alone.
                     record = json.loads(data.decode("utf-8"))
                     key, response = record["key"], record["response"]
-                    text, usage = response["text"], response.get("usage") or {}
-                    prompt, completion = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
-                    if type(text) is not str or type(prompt) is not int or type(completion) is not int:
-                        raise ValueError("text is not a string or a usage count not an integer")
+                    text = response["text"]
+                    prompt, completion = token_counts(response.get("usage"))
+                    if type(text) is not str:
+                        raise ValueError("text is not a string")
                     self._entries[key] = CompletionResponse(text, prompt, completion, ServedFrom.CACHE)
                 except (ValueError, KeyError, TypeError, AttributeError):
                     # A torn tail record from an interrupted run, or a record

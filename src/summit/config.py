@@ -43,9 +43,9 @@ def load_config_file(path: str | Path | None) -> dict:
     try:
         data = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config file is not valid YAML: {exc}") from exc
+        raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("config file must be a mapping at the top level")
+        raise ConfigError(f"config file {path} must be a mapping at the top level")
     unknown = sorted(key_paths(data) - _FILE_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r} in {path}")

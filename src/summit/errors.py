@@ -1,8 +1,12 @@
 """Exception hierarchy shared across the package. Each class carries the
 exit code a command ends with when it escapes: 2 for bad input, 3 for a
-backend failure, 1 for an internal error (library code misused)."""
+backend failure, 1 for an internal error (library code misused).
+``parse_json`` reads a JSON input file, or one of its lines, and names the
+file and line in the ConfigError when they are not UTF-8 JSON."""
 
 from __future__ import annotations
+
+import json
 
 
 class SummitError(Exception):
@@ -89,3 +93,19 @@ class SchemaViolation(ConfigError):
 
 class MissingStats(ConfigError):
     """A report was requested for a run directory without a readable stats file."""
+
+
+def parse_json(data: bytes, path, line: int | None = None):
+    """The JSON value of ``data``, the bytes of the file ``path`` or of its
+    ``line``-th line. ConfigError naming the file, and the line, when they
+    are not UTF-8 or not JSON."""
+    source = f"{path}:{line}" if line else str(path)
+    try:
+        text = data.decode("utf-8")
+        # A line is parsed without its line end, so an error's column lies within it.
+        return json.loads(text.rstrip("\r\n") if line else text)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{source} is not UTF-8: {exc.reason} at byte {exc.start + 1}") from None
+    except json.JSONDecodeError as exc:
+        where = f"column {exc.pos + 1}" if line else f"line {exc.lineno} column {exc.colno}"
+        raise ConfigError(f"{source} is not valid JSON: {exc.msg}: {where}") from None

@@ -21,7 +21,7 @@ from .backend import BackendSettings, CompletionBackend, backend_factory
 from .cache import ResponseCache
 from .config import coerce, environment, is_set, key_paths, mapping, params_of, resolve_settings
 from .corpus import CorpusSchema, DatasetRecord, SampleSpec, Split, load_corpus, sample
-from .errors import ConfigError, SummitError
+from .errors import ConfigError, SummitError, parse_json
 from .knowledge import TripletExtractor, build_extractor
 from .metrics import FaithfulnessScorer, aggregate, rouge_l_multi, rouge_n_multi, topic_similarity
 from .prompting import DEFAULT_SHOTS, PromptRegistry
@@ -119,10 +119,7 @@ class RunManifest:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunManifest":
         path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ConfigError(f"manifest is not valid JSON: {exc}") from None
+        data = parse_json(path.read_bytes(), path)
         if not isinstance(data, dict) or data.get("schema") != MANIFEST_SCHEMA:
             raise ConfigError(f"not a run manifest: {path}")
         unknown = sorted(key_paths(data) - _KNOWN_KEYS)
@@ -187,13 +184,13 @@ def load_exemplars(path: str | Path, shots: int) -> list[Exemplar]:
     is an object with a string ``document`` and ``summary`` and a string or
     null ``explanation`` (ConfigError naming the file and line otherwise)."""
     exemplars = []
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if len(exemplars) >= shots:
                 break
             if not line.strip():
                 continue
-            raw = mapping(json.loads(line), f"exemplar at {path}:{lineno}")
+            raw = mapping(parse_json(line, path, lineno), f"exemplar at {path}:{lineno}")
             exemplar = Exemplar(raw.get("document"), raw.get("summary"), raw.get("explanation"))
             if not isinstance(exemplar.document, str) or not isinstance(exemplar.summary, str):
                 raise ConfigError(f"exemplar at {path}:{lineno} needs a string document and summary")

@@ -11,7 +11,6 @@ and passes through verbatim.
 from __future__ import annotations
 
 import enum
-import json
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -19,7 +18,7 @@ from pathlib import Path
 
 from .backend import hashlib
 from .config import mapping
-from .errors import MissingSlot
+from .errors import MissingSlot, parse_json
 from .types import Exemplar
 
 __all__ = [
@@ -144,20 +143,28 @@ class PromptRegistry:
         else:
             root = Path(directory)
         path = root.joinpath("manifest.json")
-        manifest = mapping(json.loads(path.read_text(encoding="utf-8")), str(path))
-        if manifest.get("schema") != "summit/prompts":
-            raise ValueError(f"not a prompt manifest: {manifest.get('schema')!r}")
-        systems = {
-            PromptRole(role): root.joinpath(filename).read_text(encoding="utf-8").rstrip("\n")
-            for role, filename in mapping(manifest.get("system"), f"{path}: system").items()
-        }
-        users = {}
-        for key, filename in mapping(manifest.get("user"), f"{path}: user").items():
-            role, setting, stage = key.split("/")
-            users[(role, setting, stage)] = (
-                root.joinpath(filename).read_text(encoding="utf-8").rstrip("\n")
-            )
-        return cls(systems, users)
+        manifest = mapping(parse_json(path.read_bytes(), path), str(path))
+
+        def read(section: str, key: str, filename) -> str:
+            if not isinstance(filename, str):
+                raise ValueError(f"{section} template {key!r} must be a file name, not {filename!r}")
+            return root.joinpath(filename).read_text(encoding="utf-8").rstrip("\n")
+
+        try:
+            if manifest.get("schema") != "summit/prompts":
+                raise ValueError(f"not a prompt manifest: {manifest.get('schema')!r}")
+            systems = {
+                PromptRole(role): read("system", role, filename)
+                for role, filename in mapping(manifest.get("system"), f"{path}: system").items()
+            }
+            users = {}
+            for key, filename in mapping(manifest.get("user"), f"{path}: user").items():
+                role, setting, stage = key.split("/")
+                users[(role, setting, stage)] = read("user", key, filename)
+            return cls(systems, users)
+        except ValueError as exc:
+            # An unknown role, a malformed key or file name, or a missing template.
+            raise ValueError(f"{path}: {exc}") from None
 
     def validate(self) -> None:
         for role in PromptRole:

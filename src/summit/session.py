@@ -69,7 +69,6 @@ class ChatThread:
     usage: Usage
     document_id: str = ""
     messages: list[ChatMessage] = field(default_factory=list)
-    last_summary: Summary | None = None
     last_request: CompletionRequest | None = None
 
     def post(
@@ -99,24 +98,6 @@ class ChatThread:
         self.usage.completion_tokens += response.completion_tokens
         self.usage.calls[response.served_from.value] += 1
         return response.text
-
-
-def step_refine(
-    history: ChatThread,
-    feedback: Feedback,
-    prompts: PromptRegistry,
-    backend: CompletionBackend,
-) -> Summary:
-    """Ask the summarizer to revise, threading the raw feedback verbatim."""
-    previous = history.last_summary
-    if previous is None:
-        raise ValueError("refine requires a previous summary in the thread")
-    iteration = previous.iteration + 1
-    text = history.post(Stage.REFINE, {"suggestions": feedback.raw}, iteration, prompts, backend)
-    origin = SummaryOrigin.UNCHANGED if text == previous.text else SummaryOrigin.REFINED
-    summary = Summary(text=text, iteration=iteration, origin=origin)
-    history.last_summary = summary
-    return summary
 
 
 def _base_context(doc: Document, config: SessionConfig, extractor: TripletExtractor | None) -> dict[str, str]:
@@ -153,59 +134,41 @@ def run_session(
     if usage is None:
         usage = Usage()
     base = _base_context(doc, config, extractor)
-    summarizer = ChatThread(
-        role=PromptRole.SUMMARIZER,
-        config=config,
-        context={
-            **base,
-            "format_instructions": SUMMARIZER_FORMAT_INSTRUCTIONS,
-            "exemplars": format_exemplars(config.exemplars, PromptRole.SUMMARIZER),
-        },
-        usage=usage,
-        document_id=doc.id,
-    )
-    evaluator = ChatThread(
-        role=PromptRole.EVALUATOR,
-        config=config,
-        context={
-            **base,
-            "format_instructions": EVALUATOR_FORMAT_INSTRUCTIONS,
-            "exemplars": format_exemplars(config.exemplars, PromptRole.EVALUATOR),
-        },
-        usage=usage,
-        document_id=doc.id,
-    )
-
     steps: list[TraceStep] = []
 
-    def check_budget() -> None:
+    def thread(role: PromptRole, format_instructions: str) -> ChatThread:
+        exemplars = format_exemplars(config.exemplars, role)
+        context = {**base, "format_instructions": format_instructions, "exemplars": exemplars}
+        return ChatThread(role, config, context, usage, doc.id)
+
+    def post(chat: ChatThread, stage: Stage, iteration: int, **extra: str) -> str:
+        """Make one backend call, then stop the session if it crossed the token budget."""
+        text = chat.post(stage, extra, iteration, prompts, backend)
         if config.token_budget is not None and usage.total_tokens > config.token_budget:
             raise BudgetExceeded(
-                f"token budget of {config.token_budget} exceeded "
-                f"({usage.total_tokens} tokens used)",
+                f"token budget of {config.token_budget} exceeded ({usage.total_tokens} tokens used)",
                 partial_trace=list(steps),
             )
+        return text
 
-    text = summarizer.post(Stage.SUMMARIZE, {}, 0, prompts, backend)
-    check_budget()
-    summary = Summary(text=text, iteration=0, origin=SummaryOrigin.INITIAL)
-    summarizer.last_summary = summary
-
+    summarizer = thread(PromptRole.SUMMARIZER, SUMMARIZER_FORMAT_INSTRUCTIONS)
+    evaluator = thread(PromptRole.EVALUATOR, EVALUATOR_FORMAT_INSTRUCTIONS)
+    draft = Summary(post(summarizer, Stage.SUMMARIZE, 0), 0, SummaryOrigin.INITIAL)
     if not has_tokens(doc.text, config.min_document_tokens):
-        steps.append(TraceStep(summary=summary, feedback=_synthetic_stop_feedback(config)))
+        steps.append(TraceStep(draft, _synthetic_stop_feedback(config)))
         return SessionTrace(doc.id, steps, StopReason.EVALUATOR_STOP, usage)
 
     stopped_by = StopReason.MAX_ITERATIONS
     for iteration in range(1, config.max_iterations + 1):
-        raw = evaluator.post(Stage.EVALUATE, {"summary": summary.text}, iteration, prompts, backend)
-        check_budget()
+        raw = post(evaluator, Stage.EVALUATE, iteration, summary=draft.text)
         feedback = parse_feedback(raw, config.stop_marker, strict=config.strict_parsing)
-        steps.append(TraceStep(summary=summary, feedback=feedback))
+        steps.append(TraceStep(draft, feedback))
         reason = should_stop(feedback, iteration, config)
         if reason is not None:
             stopped_by = reason
             break
-        summary = step_refine(summarizer, feedback, prompts, backend)
-        check_budget()
+        text = post(summarizer, Stage.REFINE, iteration, suggestions=feedback.raw)
+        origin = SummaryOrigin.UNCHANGED if text == draft.text else SummaryOrigin.REFINED
+        draft = Summary(text, iteration, origin)
 
     return SessionTrace(doc.id, steps, stopped_by, usage)

@@ -56,6 +56,21 @@ class CompletionResponse(NamedTuple):
     served_from: ServedFrom
 
 
+def token_counts(usage) -> tuple[int, int]:
+    """The prompt and completion token counts of a reply's ``usage`` object,
+    as a live body or a cache record gives it.
+
+    Each count is an ``int`` (not a ``bool``) of 0 or more; a missing count,
+    or a missing ``usage``, is 0. ValueError otherwise."""
+    usage = usage or {}
+    if not isinstance(usage, dict):
+        raise ValueError("usage is not an object")
+    counts = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
+    if any(type(count) is not int or count < 0 for count in counts):
+        raise ValueError(f"token counts must be integers of 0 or more, not {counts[0]!r} and {counts[1]!r}")
+    return counts
+
+
 @dataclass(frozen=True)
 class EditOp:
     """One revision command parsed from evaluator feedback."""

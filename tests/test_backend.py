@@ -341,8 +341,15 @@ def test_backoff_is_exponential():
         json.dumps({"choices": [{"message": {"content": None}}]}),
         json.dumps({"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": "many"}}),
         json.dumps({"choices": [{"message": {"content": "x"}}], "usage": [3]}),
+        json.dumps({"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": -5}}),
+        json.dumps({"choices": [{"message": {"content": "x"}}], "usage": {"completion_tokens": 2.9}}),
+        json.dumps({"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": "3"}}),
+        json.dumps({"choices": [{"message": {"content": "x"}}], "usage": {"completion_tokens": True}}),
     ],
-    ids=["null-content", "count-not-a-number", "usage-not-an-object"],
+    ids=[
+        "null-content", "count-not-a-number", "usage-not-an-object",
+        "count-negative", "count-a-fraction", "count-a-numeric-string", "count-a-bool",
+    ],
 )
 def test_a_reply_the_cache_could_not_hold_is_a_transport_error(body):
     backend = HttpBackend("http://x", transport=FakeTransport([(200, body)]), sleep=no_sleep)
@@ -496,8 +503,10 @@ def test_get_returns_the_replys_text_and_token_counts(text, prompt_tokens, compl
 @pytest.mark.parametrize(
     "response",
     [None, "x", {"usage": {}}, {"text": 5}, {"text": "y", "usage": [1]}, {"text": "y", "usage": {"prompt_tokens": "x"}},
-     {"text": "y", "usage": {"completion_tokens": 1.5}}, {"text": "y", "usage": {"prompt_tokens": True}}],
-    ids=["null", "string", "no-text", "text-not-a-string", "usage-not-an-object", "count-a-string", "count-a-float", "count-a-bool"],
+     {"text": "y", "usage": {"completion_tokens": 1.5}}, {"text": "y", "usage": {"prompt_tokens": True}},
+     {"text": "y", "usage": {"prompt_tokens": -5}}],
+    ids=["null", "string", "no-text", "text-not-a-string", "usage-not-an-object", "count-a-string", "count-a-float", "count-a-bool",
+         "count-negative"],
 )
 def test_a_later_malformed_record_leaves_the_earlier_reply(tmp_path, caplog, response):
     path = tmp_path / "cache.jsonl"

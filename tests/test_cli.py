@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -926,10 +928,42 @@ def _exemplar_line(data):
 def _prompts_manifest(data):
     def prompts(tmp_path, manifest):
         (tmp_path / "prompts").mkdir()
-        (tmp_path / "prompts" / "manifest.json").write_text(json.dumps(data), encoding="utf-8")
+        text = data if isinstance(data, str) else json.dumps(data)
+        (tmp_path / "prompts" / "manifest.json").write_text(text, encoding="utf-8")
         manifest["prompts"] = {"dir": "prompts"}
 
     return prompts
+
+
+def _prompt_file_name_not_a_string(tmp_path, manifest):
+    shutil.copytree(resources.files("summit").joinpath("templates"), tmp_path / "prompts")
+    path = tmp_path / "prompts" / "manifest.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["user"]["summarizer/quality/summarize"] = 5
+    path.write_text(json.dumps(data), encoding="utf-8")
+    manifest["prompts"] = {"dir": "prompts"}
+
+
+def _manifest_torn(tmp_path, manifest):
+    return json.dumps(manifest)[:40]
+
+
+def _script_torn(tmp_path, manifest):
+    text = json.dumps({"schema": "summit/script", "version": 1, "steps": QUALITY_SCRIPT})
+    (tmp_path / "script.json").write_text(text[:52], encoding="utf-8")
+
+
+def _cache_header_torn(tmp_path, manifest):
+    (tmp_path / "cache.jsonl").write_text('{"schema": "summit/ca', encoding="utf-8")
+
+
+def _exemplar_second_line(data: bytes):
+    def exemplars(tmp_path, manifest):
+        first = json.dumps({"document": "d", "summary": "s"}).encode("utf-8")
+        (tmp_path / "exemplars.jsonl").write_bytes(first + b"\n" + data + b"\n")
+        manifest["session"]["exemplars_path"] = "exemplars.jsonl"
+
+    return exemplars
 
 
 @pytest.mark.parametrize(
@@ -937,7 +971,17 @@ def _prompts_manifest(data):
     [
         ("run-exp", _script_with_wrong_schema, "not a script file"),
         ("summarize", _script_with_wrong_schema, "not a script file"),
-        ("run-exp", _script_not_json, "JSONDecodeError"),
+        ("run-exp", _script_not_json, "script.json is not valid JSON: Expecting property name"),
+        ("summarize", _script_torn, "script.json is not valid JSON: Expecting value: line 1 column 53"),
+        ("run-exp", _manifest_torn, "manifest.json is not valid JSON: Expecting value: line 1 column 41"),
+        ("run-exp", _prompts_manifest('{"schema": "summit/prompts", '), "prompts/manifest.json is not valid JSON"),
+        ("run-exp", _prompt_file_name_not_a_string,
+         "prompts/manifest.json: user template 'summarizer/quality/summarize' must be a file name, not 5"),
+        ("run-exp", _prompts_manifest({"schema": "summit/prompts", "system": {"critic": "c.txt"}, "user": {}}),
+         "prompts/manifest.json: 'critic' is not a valid PromptRole"),
+        ("run-exp", _cache_header_torn, "cache.jsonl:1 is not valid JSON: Unterminated string"),
+        ("run-exp", _exemplar_second_line(b'{"document": '), "exemplars.jsonl:2 is not valid JSON: Expecting value: column 14"),
+        ("run-exp", _exemplar_second_line(b'{"document": "caf\xe9", "summary": "s"}'), "exemplars.jsonl:2 is not UTF-8: invalid continuation byte at byte 18"),
         ("run-exp", _prompts_with_wrong_schema, "not a prompt manifest"),
         ("run-exp", _exemplar_without_summary, "summary"),
         ("run-exp", _misspelt_manifest_key, "session.max_iteration"),
@@ -956,6 +1000,8 @@ def _prompts_manifest(data):
         ("run-exp", _prompts_manifest([1]), "manifest.json must be a mapping"),
         ("run-exp", _prompts_manifest({"schema": "summit/prompts", "system": {}, "user": ["u"]}), "manifest.json: user must be a mapping"),
         ("summarize", _config_file("backend: [1]\n"), "backend must be a mapping"),
+        ("summarize", _config_file("backend: [1\n"), "config.yaml is not valid YAML"),
+        ("summarize", _config_file("- 1\n"), "config.yaml must be a mapping at the top level"),
         ("summarize", _config_file("knowledge: 3\n"), "knowledge must be a mapping"),
         ("summarize", _config_file("backend: {cache: 5}\n"), "cache must be a path string"),
         ("summarize", _config_file("backend: {cahce: c.jsonl}\n"), "unknown config key 'backend.cahce'"),
@@ -966,8 +1012,8 @@ def _prompts_manifest(data):
 def test_malformed_inputs_exit_with_config_error(runner, tmp_path, command, breakage, message):
     path = make_manifest(tmp_path, n=2)
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    breakage(tmp_path, manifest)
-    path.write_text(json.dumps(manifest), encoding="utf-8")
+    # A breakage may return the manifest's text, to write in place of the manifest.
+    path.write_text(breakage(tmp_path, manifest) or json.dumps(manifest), encoding="utf-8")
     if command == "run-exp":
         args = ["run-exp", str(path)]
     else:
@@ -977,7 +1023,8 @@ def test_malformed_inputs_exit_with_config_error(runner, tmp_path, command, brea
             args += ["--config", str(tmp_path / "config.yaml")]
     result = runner.invoke(main, args)
     assert result.exit_code == EXIT_CONFIG, result.output
-    assert message in result.output
+    assert isinstance(result.exception, SystemExit)  # an error line, not a traceback
+    assert "error: " in result.output and message in result.output
     assert not (tmp_path / "out").exists()  # refused before any output
 
 

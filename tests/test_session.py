@@ -21,7 +21,7 @@ from summit.backend import CachedBackend, ScriptedBackend, ScriptStep
 from summit.cache import ResponseCache
 from summit.errors import BudgetExceeded, ConfigError, ParseError
 from summit.parsing import parse_feedback
-from summit.session import run_session, should_stop, step_refine
+from summit.session import run_session, should_stop
 from summit.types import (
     Document,
     EditKind,
@@ -199,12 +199,35 @@ def test_custom_stop_marker(registry):
     assert not fb.stop_requested
 
 
-def test_token_budget_enforced(registry):
+@pytest.mark.parametrize(
+    "crossing_call,steps_kept",
+    [(0, 0), (3, 1), (2, 1)],
+    ids=["summarize", "second-evaluate", "first-refine"],
+)
+def test_token_budget_enforced(registry, crossing_call, steps_kept):
     plan = plan_session(["ops"] * 5, max_iterations=5)
-    config = SessionConfig(max_iterations=5, token_budget=50)
+    totals = []
+
+    class Totalling:
+        def __init__(self):
+            self.inner = ScriptedBackend(plan.steps)
+
+        def complete(self, request):
+            response = self.inner.complete(request)
+            totals.append((totals[-1] if totals else 0) + response.prompt_tokens + response.completion_tokens)
+            return response
+
+    run_session(DOC, SessionConfig(max_iterations=5), Totalling(), registry)
+    # The smallest budget that the crossing call exceeds and no earlier call does.
+    budget = totals[crossing_call] - 1
+    assert crossing_call == 0 or totals[crossing_call - 1] <= budget
+    recorder = RecordingBackend(ScriptedBackend(plan.steps))
     with pytest.raises(BudgetExceeded) as err:
-        run_session(DOC, config, ScriptedBackend(plan.steps), registry)
-    assert err.value.partial_trace is not None
+        run_session(DOC, SessionConfig(max_iterations=5, token_budget=budget), recorder, registry)
+    assert str(err.value) == f"token budget of {budget} exceeded ({totals[crossing_call]} tokens used)"
+    assert len(err.value.partial_trace) == steps_kept
+    stages = ["summarize", "evaluate", "refine", "evaluate"][: crossing_call + 1]
+    assert [r.stage for r in recorder.requests] == stages
 
 
 def test_strict_parsing_propagates(registry):
@@ -215,16 +238,6 @@ def test_strict_parsing_propagates(registry):
     config = SessionConfig(strict_parsing=True)
     with pytest.raises(ParseError):
         run_session(DOC, config, ScriptedBackend(steps), registry)
-
-
-def test_step_refine_requires_history(registry):
-    from summit.session import ChatThread
-    from summit.prompting import PromptRole
-    from summit.types import Usage
-
-    thread = ChatThread(role=PromptRole.SUMMARIZER, config=SessionConfig(), context={}, usage=Usage())
-    with pytest.raises(ValueError):
-        step_refine(thread, feedback(), registry, ScriptedBackend([]))
 
 
 def test_exemplars_are_prepended_per_role(registry):
