@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from .cache import ResponseCache
-from .errors import AuthError, ConfigError, ReplayMiss, ScriptExhausted, ScriptMismatch, TransportError, parse_json
+from .errors import AuthError, ConfigError, ReplayMiss, ScriptExhausted, ScriptMismatch, TransportError, read_json
 from .throttle import RateLimiter
 from .types import CompletionResponse, ServedFrom, SessionConfig, token_counts
 
@@ -357,7 +357,7 @@ class ScriptedBackend:
         return CompletionResponse(step.response, prompt_tokens, estimate_tokens(step.response), ServedFrom.SCRIPT)
 
 
-SCRIPT_SCHEMA = "summit/script"
+SCRIPT_HEADER = {"schema": "summit/script", "version": 1}
 
 
 def load_script(path: str | Path) -> list[ScriptStep]:
@@ -368,9 +368,7 @@ def load_script(path: str | Path) -> list[ScriptStep]:
     ``regex`` (default false), and each regex ``match`` compiles; so every
     reply a script gives is checked before the first call.
     """
-    data = parse_json(Path(path).read_bytes(), path)
-    if not isinstance(data, dict) or data.get("schema") != SCRIPT_SCHEMA:
-        raise ValueError(f"not a script file: {path}")
+    data = read_json(Path(path), SCRIPT_HEADER)
     if not isinstance(data.get("steps"), list):
         raise ValueError(f"{path}: steps must be a list")
     steps = []
@@ -401,7 +399,9 @@ class CachedBackend:
     """Serve from the cache when possible; store every inner response.
 
     Works in front of both live and scripted backends, so a scripted or live
-    run leaves behind a cache file that replay mode can consume.
+    run leaves behind a cache file that replay mode can consume. A script's
+    replies go by position, so a hit still takes its step from a scripted
+    inner backend, as the request would without the cache.
     """
 
     inner: CompletionBackend
@@ -411,6 +411,8 @@ class CachedBackend:
         key = cache_key(request)
         hit = self.cache.get(key)
         if hit is not None:
+            if isinstance(self.inner, ScriptedBackend):
+                self.inner.complete(request)
             return hit
         response = self.inner.complete(request)
         self.cache.put(key, _request_summary(request), response)
@@ -462,7 +464,8 @@ class BackendSettings:
 
 def backend_factory(settings: BackendSettings, cache: ResponseCache | None) -> Callable[[], CompletionBackend]:
     """A function giving each session its backend: a fresh cursor per
-    scripted session (scripts are positional), one shared live or replay one.
+    scripted session (scripts are positional, and a cache hit takes its step
+    too), one shared live or replay one.
     ``cache`` is the loaded cache at ``settings.cache``; the caller closes it."""
     if settings.mode == "scripted":
         steps = load_script(settings.script)

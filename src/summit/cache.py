@@ -28,11 +28,10 @@ import threading
 from pathlib import Path
 from typing import TextIO
 
-from .errors import ConfigError, parse_json
+from .errors import ConfigError, read_json_lines
 from .types import CompletionResponse, ServedFrom, token_counts
 
-CACHE_SCHEMA = "summit/cache"
-CACHE_VERSION = 1
+CACHE_HEADER = {"schema": "summit/cache", "version": 1}
 
 
 class ResponseCache:
@@ -47,35 +46,23 @@ class ResponseCache:
             self._load()
 
     def _load(self) -> None:
-        with self.path.open("rb") as fh:
-            header = fh.readline()
-            if not header:
-                return
-            meta = parse_json(header, self.path, 1)
-            if not isinstance(meta, dict) or meta.get("schema") != CACHE_SCHEMA:
-                raise ValueError(f"not a cache file: {self.path}")
-            if meta.get("version") != CACHE_VERSION:
-                raise ValueError(f"unsupported cache version {meta.get('version')!r}")
-            for lineno, data in enumerate(fh, start=2):
-                if data.isspace():
-                    continue
-                try:
-                    # Decoded per line, so a record torn inside a character skips that line alone.
-                    record = json.loads(data.decode("utf-8"))
-                    key, response = record["key"], record["response"]
-                    text = response["text"]
-                    prompt, completion = token_counts(response.get("usage"))
-                    if type(text) is not str:
-                        raise ValueError("text is not a string")
-                    self._entries[key] = CompletionResponse(text, prompt, completion, ServedFrom.CACHE)
-                except (ValueError, KeyError, TypeError, AttributeError):
-                    # A torn tail record from an interrupted run, or a record
-                    # of the wrong shape; an earlier good one for its key stays.
-                    import logging  # here, so that a run that logs nothing does not pay for importing it
+        def skip(lineno: int, problem: str | None = None) -> None:
+            # A torn tail record from an interrupted run, or a record of the
+            # wrong shape; an earlier good one for its key stays.
+            import logging  # here, so that a run that logs nothing does not pay for importing it
 
-                    logging.getLogger(__name__).warning(
-                        "skipping malformed cache record at %s:%d", self.path, lineno
-                    )
+            logging.getLogger(__name__).warning("skipping malformed cache record at %s:%d", self.path, lineno)
+
+        for lineno, record in read_json_lines(self.path, CACHE_HEADER, on_error=skip):
+            try:
+                key, response = record["key"], record["response"]
+                text = response["text"]
+                prompt, completion = token_counts(response.get("usage"))
+                if type(text) is not str:
+                    raise ValueError("text is not a string")
+                self._entries[key] = CompletionResponse(text, prompt, completion, ServedFrom.CACHE)
+            except (ValueError, KeyError, TypeError, AttributeError):
+                skip(lineno)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -116,7 +103,7 @@ class ResponseCache:
             raise ConfigError(f"cache file {self.path} is being written by another run") from None
         # At the end of a new or empty file the position is 0.
         if fh.seek(0, os.SEEK_END) == 0:
-            fh.write(json.dumps({"schema": CACHE_SCHEMA, "version": CACHE_VERSION}) + "\n")
+            fh.write(json.dumps(CACHE_HEADER) + "\n")
         return fh
 
     def close(self) -> None:

@@ -14,11 +14,10 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import SampleTooLarge, SchemaViolation
+from .errors import SampleTooLarge, SchemaViolation, read_json_lines
 from .metrics import tokenize
 
-CORPUS_SCHEMA = "summit/corpus"
-CORPUS_VERSION = 1
+CORPUS_HEADER = {"schema": "summit/corpus", "version": 1}
 
 
 class CorpusSchema(enum.Enum):
@@ -60,11 +59,14 @@ def _validate_record(raw: dict, schema: CorpusSchema) -> DatasetRecord:
     try:
         rec_id = str(raw["id"])
         document = raw["document"]
-        summaries = tuple(raw.get("summaries") or ())
-        topics = tuple(raw.get("topics") or ())
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"missing field: {exc}") from exc
-    if rec_id in ("", ".", "..") or "/" in rec_id or "\\" in rec_id:
+    summaries, topics = ([] if raw.get(key) is None else raw[key] for key in ("summaries", "topics"))
+    if not isinstance(summaries, list) or not isinstance(topics, list):
+        raise ValueError("summaries and topics must be JSON arrays of strings")
+    # <id>.jsonl names the trace file: no separator or NUL, at most 255 bytes (the usual NAME_MAX).
+    name = f"{rec_id}.jsonl".encode("utf-8", "surrogatepass")
+    if rec_id in ("", ".", "..") or any(c in rec_id for c in "/\\\0") or len(name) > 255:
         raise ValueError(f"id {rec_id!r} cannot name a trace file")
     if not isinstance(document, str) or not document.strip():
         raise ValueError("document must be a non-empty string")
@@ -77,37 +79,27 @@ def _validate_record(raw: dict, schema: CorpusSchema) -> DatasetRecord:
             raise ValueError("newts records carry exactly 2 topics paired with 2 summaries")
     elif len(topics) > 2:
         raise ValueError("at most 2 topics per record")
-    return DatasetRecord(id=rec_id, document=document, summaries=summaries, topics=topics)
+    return DatasetRecord(id=rec_id, document=document, summaries=tuple(summaries), topics=tuple(topics))
 
 
-def _read_records(fh, to_record) -> LoadResult:
-    """The records of the JSON lines in the binary file ``fh``, and
-    (line_number, message) for each line that is not UTF-8, malformed, not
-    an object, fails validation or repeats an id. ``to_record(raw, lineno)``
-    validates one parsed object; None skips it."""
+def _read_records(path, to_record, header: dict | None = None) -> LoadResult:
+    """The records of the JSON-lines file ``path``, and (line_number,
+    message) for each line that is not UTF-8 JSON, not an object, fails
+    validation or repeats an id. ``to_record(raw, lineno)`` validates one
+    parsed object. A corpus ``header`` is optional."""
     records: list[DatasetRecord] = []
     errors: list[tuple[int, str]] = []
     seen_ids: set[str] = set()
-    for lineno, data in enumerate(fh, start=1):
-        try:
-            line = data.decode("utf-8")  # per line, so a bad byte names its line
-        except UnicodeDecodeError as exc:
-            errors.append((lineno, f"not UTF-8: {exc}"))
-            continue
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-        except ValueError as exc:
-            errors.append((lineno, f"invalid JSON: {exc}"))
-            continue
+
+    def bad_line(lineno: int, problem: str) -> None:
+        errors.append((lineno, problem))
+
+    for lineno, raw in read_json_lines(path, header, bad_line, header_optional=True):
         if not isinstance(raw, dict):
             errors.append((lineno, "record must be a JSON object"))
             continue
         try:
             record = to_record(raw, lineno)
-            if record is None:
-                continue
             if record.id in seen_ids:
                 raise ValueError(f"duplicate id {record.id!r}")
             seen_ids.add(record.id)
@@ -120,8 +112,7 @@ def _read_records(fh, to_record) -> LoadResult:
 def _violation(path, errors: list[tuple[int, str]]) -> SchemaViolation:
     lines = ", ".join(str(lineno) for lineno, _ in errors)
     return SchemaViolation(
-        f"{len(errors)} malformed record(s) in {path} at line(s) {lines}; "
-        f"line {errors[0][0]}: {errors[0][1]}",
+        f"{len(errors)} malformed record(s) in {path} at line(s) {lines}; {path}:{errors[0][0]}: {errors[0][1]}",
         line_numbers=[lineno for lineno, _ in errors],
     )
 
@@ -137,15 +128,7 @@ def load_corpus(
     ones as (line_number, message) pairs; strict mode fails the whole load.
     """
 
-    def to_record(raw, lineno: int) -> DatasetRecord | None:
-        if lineno == 1 and raw.get("schema") == CORPUS_SCHEMA:
-            if raw.get("version") != CORPUS_VERSION:
-                raise SchemaViolation(f"unsupported corpus version {raw.get('version')!r}")
-            return None
-        return _validate_record(raw, schema)
-
-    with Path(path).open("rb") as fh:
-        loaded = _read_records(fh, to_record)
+    loaded = _read_records(path, lambda raw, lineno: _validate_record(raw, schema), CORPUS_HEADER)
     if strict and loaded.errors:
         raise _violation(path, loaded.errors)
     return loaded
@@ -156,7 +139,7 @@ def write_corpus(records: list[DatasetRecord], path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # A lone surrogate is written as its \uXXXX JSON escape.
     with path.open("w", encoding="utf-8", errors="backslashreplace") as fh:
-        fh.write(json.dumps({"schema": CORPUS_SCHEMA, "version": CORPUS_VERSION}) + "\n")
+        fh.write(json.dumps(CORPUS_HEADER) + "\n")
         for record in records:
             fh.write(
                 json.dumps(
@@ -239,8 +222,7 @@ def convert_corpus(source: str | Path, dest: str | Path, source_format: str) -> 
             raise ValueError(f"missing field: {exc}") from exc
         return _validate_record(canonical, CorpusSchema.GENERIC)
 
-    with Path(source).open("rb") as fh:
-        loaded = _read_records(fh, to_record)
+    loaded = _read_records(source, to_record)
     if loaded.errors:
         raise _violation(source, loaded.errors)
     if not loaded.records:

@@ -1,12 +1,14 @@
 """Exception hierarchy shared across the package. Each class carries the
 exit code a command ends with when it escapes: 2 for bad input, 3 for a
 backend failure, 1 for an internal error (library code misused).
-``parse_json`` reads a JSON input file, or one of its lines, and names the
-file and line in the ConfigError when they are not UTF-8 JSON."""
+Every JSON file the package reads is read by ``read_json`` or
+``read_json_lines``: one rule for its ``{schema, version}`` header, and a
+ConfigError naming the file, or its line, when it is not UTF-8 JSON."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 
 class SummitError(Exception):
@@ -95,17 +97,63 @@ class MissingStats(ConfigError):
     """A report was requested for a run directory without a readable stats file."""
 
 
-def parse_json(data: bytes, path, line: int | None = None):
-    """The JSON value of ``data``, the bytes of the file ``path`` or of its
-    ``line``-th line. ConfigError naming the file, and the line, when they
-    are not UTF-8 or not JSON."""
-    source = f"{path}:{line}" if line else str(path)
+def _problem(data: bytes, in_line: bool) -> str:
+    """Why ``data``, a file or (``in_line``) one of its lines, is not UTF-8 JSON."""
     try:
         text = data.decode("utf-8")
-        # A line is parsed without its line end, so an error's column lies within it.
-        return json.loads(text.rstrip("\r\n") if line else text)
+        json.loads(text.rstrip("\r\n") if in_line else text)
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{source} is not UTF-8: {exc.reason} at byte {exc.start + 1}") from None
+        return f"not UTF-8: {exc.reason} at byte {exc.start + 1}"
     except json.JSONDecodeError as exc:
-        where = f"column {exc.pos + 1}" if line else f"line {exc.lineno} column {exc.colno}"
-        raise ConfigError(f"{source} is not valid JSON: {exc.msg}: {where}") from None
+        where = f"column {exc.pos + 1}" if in_line else f"line {exc.lineno} column {exc.colno}"
+        return f"not valid JSON: {exc.msg}: {where}"
+    except (ValueError, RecursionError) as exc:  # a number too long or nesting too deep
+        return f"not valid JSON: {exc}"
+    return "not valid JSON"
+
+
+def _check_header(value, header: dict, source: str) -> None:
+    schema, version = header["schema"], header["version"]
+    if not isinstance(value, dict) or value.get("schema") != schema:
+        raise ConfigError(f"not a {schema.split('/')[-1]} file: {source} must be a JSON object whose schema is {schema!r}")
+    found = value.get("version", version)  # a missing version reads as the current one
+    if type(found) is not int or found != version:
+        raise ConfigError(f"{source} is {schema} version {found!r}; this summit reads version {version} only")
+
+
+def read_json(path: Path, header: dict | None = None):
+    """The JSON value of the file ``path``, whose ``{schema, version}`` must
+    be ``header`` when given; ConfigError naming the file otherwise."""
+    data = path.read_bytes()
+    try:
+        value = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError):
+        raise ConfigError(f"{path} is {_problem(data, in_line=False)}") from None
+    if header is not None:
+        _check_header(value, header, str(path))
+    return value
+
+
+def read_json_lines(path, header: dict | None = None, on_error=None, header_optional: bool = False):
+    """Yield ``(line number, value)`` for each non-blank line of the JSON-lines
+    file ``path`` after its ``header``, the first line, blank or not (with
+    ``header_optional``, only a first line holding a ``schema``). A line that
+    is not UTF-8 JSON is a ConfigError naming ``PATH:LINE`` and the column
+    within it, or, but for the header, ``on_error(line number, why)``."""
+    headed = header is not None and not header_optional
+    with Path(path).open("rb") as fh:
+        for lineno, data in enumerate(fh, start=1):
+            try:
+                # One decode and one parse per good line; a bad one is parsed again for its message.
+                value = json.loads(data.decode("utf-8"))
+            except (ValueError, RecursionError):
+                if data.isspace() and not (lineno == 1 and headed):
+                    continue
+                if on_error is None or (lineno == 1 and headed):
+                    raise ConfigError(f"{path}:{lineno} is {_problem(data, in_line=True)}") from None
+                on_error(lineno, _problem(data, in_line=True))
+                continue
+            if lineno == 1 and header is not None and (headed or isinstance(value, dict) and "schema" in value):
+                _check_header(value, header, f"{path}:1")
+            else:
+                yield lineno, value

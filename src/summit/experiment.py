@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Callable, get_type_hints
 
@@ -21,7 +22,7 @@ from .backend import BackendSettings, CompletionBackend, backend_factory
 from .cache import ResponseCache
 from .config import coerce, environment, is_set, key_paths, mapping, params_of, resolve_settings
 from .corpus import CorpusSchema, DatasetRecord, SampleSpec, Split, load_corpus, sample
-from .errors import ConfigError, SummitError, parse_json
+from .errors import ConfigError, SummitError, read_json, read_json_lines
 from .knowledge import TripletExtractor, build_extractor
 from .metrics import FaithfulnessScorer, aggregate, rouge_l_multi, rouge_n_multi, topic_similarity
 from .prompting import DEFAULT_SHOTS, PromptRegistry
@@ -29,11 +30,9 @@ from .session import run_session
 from .trace_io import write_trace
 from .types import Document, Exemplar, ServedFrom, SessionConfig, SessionTrace, Setting, Usage
 
-MANIFEST_SCHEMA = "summit/manifest"
-MANIFEST_VERSION = 1
-STATS_SCHEMA = "summit/stats"
-STATS_VERSION = 1
-CALLS_SCHEMA = "summit/calls"
+MANIFEST_HEADER = {"schema": "summit/manifest", "version": 1}
+STATS_HEADER = {"schema": "summit/stats", "version": 1}
+CALLS_HEADER = {"schema": "summit/calls", "version": 1}
 
 
 def _at(key: str, default=MISSING, default_factory=MISSING):
@@ -119,9 +118,7 @@ class RunManifest:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunManifest":
         path = Path(path)
-        data = parse_json(path.read_bytes(), path)
-        if not isinstance(data, dict) or data.get("schema") != MANIFEST_SCHEMA:
-            raise ConfigError(f"not a run manifest: {path}")
+        data = read_json(path, MANIFEST_HEADER)
         unknown = sorted(key_paths(data) - _KNOWN_KEYS)
         if unknown:
             raise ConfigError(f"unknown manifest key {unknown[0]!r} in {path}")
@@ -141,7 +138,7 @@ class RunManifest:
             raise ConfigError(f"invalid manifest {path}: {exc}") from exc
 
     def to_dict(self) -> dict:
-        out: dict = {"schema": MANIFEST_SCHEMA, "version": MANIFEST_VERSION}
+        out: dict = dict(MANIFEST_HEADER)
         for f in fields(self):
             section, key = f.metadata["section"], f.metadata["key"]
             if f.name == "session_params":
@@ -184,19 +181,15 @@ def load_exemplars(path: str | Path, shots: int) -> list[Exemplar]:
     is an object with a string ``document`` and ``summary`` and a string or
     null ``explanation`` (ConfigError naming the file and line otherwise)."""
     exemplars = []
-    with Path(path).open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if len(exemplars) >= shots:
-                break
-            if not line.strip():
-                continue
-            raw = mapping(parse_json(line, path, lineno), f"exemplar at {path}:{lineno}")
-            exemplar = Exemplar(raw.get("document"), raw.get("summary"), raw.get("explanation"))
-            if not isinstance(exemplar.document, str) or not isinstance(exemplar.summary, str):
-                raise ConfigError(f"exemplar at {path}:{lineno} needs a string document and summary")
-            if not isinstance(exemplar.explanation, (str, type(None))):
-                raise ConfigError(f"exemplar at {path}:{lineno} has an explanation that is not a string")
-            exemplars.append(exemplar)
+    # Sliced, so that no line after the last exemplar taken is read.
+    for lineno, raw in islice(read_json_lines(path), shots):
+        raw = mapping(raw, f"exemplar at {path}:{lineno}")
+        exemplar = Exemplar(raw.get("document"), raw.get("summary"), raw.get("explanation"))
+        if not isinstance(exemplar.document, str) or not isinstance(exemplar.summary, str):
+            raise ConfigError(f"exemplar at {path}:{lineno} needs a string document and summary")
+        if not isinstance(exemplar.explanation, (str, type(None))):
+            raise ConfigError(f"exemplar at {path}:{lineno} has an explanation that is not a string")
+        exemplars.append(exemplar)
     return exemplars
 
 
@@ -308,14 +301,10 @@ def _doc_metrics(
 
 def _check_peek_guard(manifest: RunManifest, fingerprint: str, acknowledge_peek: bool) -> None:
     existing = manifest.output_dir / "manifest.json"
-    if manifest.sample.split is not Split.TEST or not existing.exists():
+    if acknowledge_peek or manifest.sample.split is not Split.TEST or not existing.exists():
         return
-    try:
-        old = json.loads(existing.read_text(encoding="utf-8"))
-    except ValueError:
-        return
-    old_fp = old.get("prompt_fingerprint") if isinstance(old, dict) else None
-    if old_fp and old_fp != fingerprint and not acknowledge_peek:
+    old_fp = read_json(existing, MANIFEST_HEADER).get("prompt_fingerprint")
+    if old_fp and old_fp != fingerprint:
         raise ConfigError(
             "prompts changed since this test-split run directory was created; "
             "tune prompts on a dev sample, or pass --acknowledge-peek to proceed"
@@ -430,8 +419,7 @@ def _write_outputs(manifest, records, outcomes) -> ExperimentResult:
     # token accounting (which legitimately differ between a live run and its
     # replay) go to calls.json instead.
     stats: dict = {
-        "schema": STATS_SCHEMA,
-        "version": STATS_VERSION,
+        **STATS_HEADER,
         "run": {
             "name": manifest.name,
             "setting": manifest.setting.value,
@@ -450,7 +438,7 @@ def _write_outputs(manifest, records, outcomes) -> ExperimentResult:
         }
 
     _write_json(outdir / "stats.json", stats)
-    calls = {"schema": CALLS_SCHEMA, "version": 1, "mode": manifest.backend.mode, "calls": counts, "usage": usage_total}
+    calls = {**CALLS_HEADER, "mode": manifest.backend.mode, "calls": counts, "usage": usage_total}
     _write_json(outdir / "calls.json", calls)
     failures_path = outdir / "failures.jsonl"
     if failures:

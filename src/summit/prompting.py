@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .backend import hashlib
 from .config import mapping
-from .errors import MissingSlot, parse_json
+from .errors import MissingSlot, read_json
 from .types import Exemplar
 
 __all__ = [
@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 DEFAULT_SHOTS = 2
+
+PROMPTS_HEADER = {"schema": "summit/prompts", "version": 1}
 
 SUMMARIZER_FORMAT_INSTRUCTIONS = (
     "Output only the summary text, with no preamble, labels, or commentary."
@@ -143,7 +145,7 @@ class PromptRegistry:
         else:
             root = Path(directory)
         path = root.joinpath("manifest.json")
-        manifest = mapping(parse_json(path.read_bytes(), path), str(path))
+        manifest = read_json(path, PROMPTS_HEADER)
 
         def read(section: str, key: str, filename) -> str:
             if not isinstance(filename, str):
@@ -151,8 +153,6 @@ class PromptRegistry:
             return root.joinpath(filename).read_text(encoding="utf-8").rstrip("\n")
 
         try:
-            if manifest.get("schema") != "summit/prompts":
-                raise ValueError(f"not a prompt manifest: {manifest.get('schema')!r}")
             systems = {
                 PromptRole(role): read("system", role, filename)
                 for role, filename in mapping(manifest.get("system"), f"{path}: system").items()

@@ -8,12 +8,11 @@ faithfulness column, when present, is the mean remote-scorer output.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import MissingStats
-from .experiment import STATS_SCHEMA
+from .errors import MissingStats, read_json
+from .experiment import STATS_HEADER
 
 MISSING_CELL = "—"
 
@@ -36,16 +35,12 @@ class ReportRow:
 
 def load_run_stats(run_dir: str | Path) -> dict:
     """The stats of a run directory; MissingStats when it has no stats file
-    this package wrote."""
+    or one whose body a report cannot read, ConfigError when its file is not
+    UTF-8 JSON with a stats header."""
     stats_path = Path(run_dir) / "stats.json"
     if not stats_path.exists():
         raise MissingStats(f"no stats.json in {run_dir}")
-    try:
-        stats = json.loads(stats_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise MissingStats(f"{stats_path} is not valid JSON: {exc}") from None
-    if not isinstance(stats, dict) or stats.get("schema") != STATS_SCHEMA:
-        raise MissingStats(f"not a run's stats file: {stats_path}")
+    stats = read_json(stats_path, STATS_HEADER)
     problem = _shape_problem(stats)
     if problem:
         raise MissingStats(f"{stats_path}: {problem}")

@@ -12,10 +12,10 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import ConfigError, read_json_lines
 from .types import EditKind, EditOp, SessionTrace, StopReason
 
-TRACE_SCHEMA = "summit/trace"
-TRACE_VERSION = 1
+TRACE_HEADER = {"schema": "summit/trace", "version": 1}
 
 
 @dataclass(frozen=True)
@@ -58,23 +58,17 @@ def write_trace(trace: SessionTrace, path: str | Path) -> None:
     (FileNotFoundError otherwise)."""
     # A lone surrogate is written as its \uXXXX JSON escape.
     with Path(path).open("w", encoding="utf-8", errors="backslashreplace") as fh:
-        fh.write(json.dumps({"schema": TRACE_SCHEMA, "version": TRACE_VERSION}) + "\n")
+        fh.write(json.dumps(TRACE_HEADER) + "\n")
         for record in trace_records(trace):
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("schema") != TRACE_SCHEMA:
-            raise ValueError(f"not a trace file: {path}")
-        if header.get("version") != TRACE_VERSION:
-            raise ValueError(f"unsupported trace version {header.get('version')!r}")
-        records = []
-        for line in fh:
-            if not line.strip():
-                continue
-            raw = json.loads(line)
+    """The records of the trace file ``path``; ConfigError naming the file,
+    or its line, unless it holds a trace header and one or more records."""
+    records = []
+    for lineno, raw in read_json_lines(path, TRACE_HEADER):
+        try:
             records.append(
                 TraceRecord(
                     document_id=raw["document_id"],
@@ -90,4 +84,8 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
                     usage=raw["usage"],
                 )
             )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"{path}:{lineno} is not a trace record: {exc!r}") from None
+    if not records:
+        raise ConfigError(f"{path} holds no trace records")
     return records

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from summit.backend import SCRIPT_SCHEMA, CompletionBackend, CompletionRequest, CompletionResponse, ScriptStep
+from summit.backend import SCRIPT_HEADER, CompletionBackend, CompletionRequest, CompletionResponse, ScriptStep
 from summit.corpus import DatasetRecord, write_corpus
 from summit.errors import MissingSlot
 from summit.knowledge import _AUX, _PARTICLES, NAIVE_CONFIDENCE, Triplet, _looks_like_verb
@@ -310,7 +310,7 @@ QUALITY_SCRIPT = [
 
 def write_script(path: Path, steps: list[dict]) -> Path:
     path.write_text(
-        json.dumps({"schema": SCRIPT_SCHEMA, "version": 1, "steps": steps}) + "\n",
+        json.dumps({**SCRIPT_HEADER, "steps": steps}) + "\n",
         encoding="utf-8",
     )
     return path

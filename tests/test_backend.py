@@ -428,6 +428,17 @@ def test_cache_hit_skips_inner_and_is_byte_identical():
     assert second is cache.get(cache_key(make_request("same content")))  # the stored object, unchanged
 
 
+def test_a_cache_hit_takes_its_script_step():
+    cache = ResponseCache()
+    CachedBackend(ScriptedBackend([ScriptStep(response="first", match="one")]), cache).complete(make_request("one"))
+    steps = [ScriptStep(response="again", match="one"), ScriptStep(response="second", match="two")]
+    backend = CachedBackend(ScriptedBackend(steps), cache)
+    assert backend.complete(make_request("one")).text == "first"  # from the cache
+    assert backend.complete(make_request("two")).text == "second"  # the script's next step
+    with pytest.raises(ScriptMismatch):  # a hit is matched against its step as a call is
+        CachedBackend(ScriptedBackend([ScriptStep(response="x", match="two")]), cache).complete(make_request("one"))
+
+
 def test_cache_persists_across_instances(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResponseCache(path)
@@ -524,7 +535,7 @@ def test_a_later_malformed_record_leaves_the_earlier_reply(tmp_path, caplog, res
 def test_a_header_that_is_not_an_object_is_not_a_cache_file(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text("[1]\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="not a cache file"):
+    with pytest.raises(ConfigError, match="not a cache file"):
         ResponseCache(path)
 
 

@@ -475,7 +475,7 @@ def test_a_corpus_line_that_is_not_utf8_is_a_config_error(runner, tmp_path, comm
     result = runner.invoke(main, [command, str(manifest)])
     assert isinstance(result.exception, SystemExit)
     assert result.exit_code == EXIT_CONFIG, result.output
-    assert "line(s) 8" in result.output and "not UTF-8: 'utf-8' codec can't decode byte 0xff" in result.output
+    assert "line(s) 8" in result.output and "corpus.jsonl:8: not UTF-8: invalid start byte at byte 37" in result.output
     assert not (tmp_path / "out" / "stats.json").exists()
 
 
@@ -578,11 +578,17 @@ def test_peek_guard_on_test_split(runner, tmp_path):
     assert allowed.exit_code == 0, allowed.output
 
 
-def test_peek_guard_passes_an_old_manifest_that_is_not_an_object(runner, tmp_path):
+@pytest.mark.parametrize("old", ["[1]", '{"schema": "summit/manifest", "version": 2}'], ids=["not-an-object", "version-2"])
+def test_peek_guard_refuses_an_old_manifest_it_cannot_read(runner, tmp_path, old):
     manifest = make_manifest(tmp_path, n=2, split="test")
     (tmp_path / "out").mkdir()
-    (tmp_path / "out" / "manifest.json").write_text("[1]", encoding="utf-8")
+    (tmp_path / "out" / "manifest.json").write_text(old, encoding="utf-8")
     result = runner.invoke(main, ["run-exp", str(manifest)])
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert isinstance(result.exception, SystemExit) and str(tmp_path / "out" / "manifest.json") in result.output
+    assert not (tmp_path / "out" / "traces").exists()
+    # Acknowledging the peek skips the guard, and its read.
+    result = runner.invoke(main, ["run-exp", str(manifest), "--acknowledge-peek"])
     assert result.exit_code == 0, result.output
 
 
@@ -982,7 +988,7 @@ def _exemplar_second_line(data: bytes):
         ("run-exp", _cache_header_torn, "cache.jsonl:1 is not valid JSON: Unterminated string"),
         ("run-exp", _exemplar_second_line(b'{"document": '), "exemplars.jsonl:2 is not valid JSON: Expecting value: column 14"),
         ("run-exp", _exemplar_second_line(b'{"document": "caf\xe9", "summary": "s"}'), "exemplars.jsonl:2 is not UTF-8: invalid continuation byte at byte 18"),
-        ("run-exp", _prompts_with_wrong_schema, "not a prompt manifest"),
+        ("run-exp", _prompts_with_wrong_schema, "not a prompts file"),
         ("run-exp", _exemplar_without_summary, "summary"),
         ("run-exp", _misspelt_manifest_key, "session.max_iteration"),
         ("run-exp", _string_for_bool, "strict_parsing"),
@@ -997,7 +1003,7 @@ def _exemplar_second_line(data: bytes):
         ("run-exp", _script_file({"schema": "summit/script", "steps": [5]}), "step 0 is not an object"),
         ("run-exp", _exemplar_line([1, 2]), "exemplars.jsonl:1 must be a mapping"),
         ("run-exp", _exemplar_line({"document": 5, "summary": "s"}), "exemplars.jsonl:1 needs a string document"),
-        ("run-exp", _prompts_manifest([1]), "manifest.json must be a mapping"),
+        ("run-exp", _prompts_manifest([1]), "manifest.json must be a JSON object whose schema is 'summit/prompts'"),
         ("run-exp", _prompts_manifest({"schema": "summit/prompts", "system": {}, "user": ["u"]}), "manifest.json: user must be a mapping"),
         ("summarize", _config_file("backend: [1]\n"), "backend must be a mapping"),
         ("summarize", _config_file("backend: [1\n"), "config.yaml is not valid YAML"),
@@ -1053,6 +1059,75 @@ def test_an_override_that_is_set_but_falsy_is_checked_not_ignored(runner, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+def _with_header(path: Path, **change) -> None:
+    """Apply ``change`` to the header of the file ``path``, the first line of
+    a JSON-lines file or a whole JSON document; a None value deletes its key."""
+    text = path.read_text(encoding="utf-8")
+    first, newline, rest = text.partition("\n") if path.suffix == ".jsonl" else (text, "", "")
+    header = {key: value for key, value in {**json.loads(first), **change}.items() if value is not None}
+    path.write_text(json.dumps(header) + newline + rest, encoding="utf-8")
+
+
+#: A header change, and the exit code of a run or report whose input has it.
+HEADER_CHANGES = pytest.mark.parametrize(
+    "change, exit_code",
+    [({"version": None}, 0), ({"version": 2}, EXIT_CONFIG), ({"version": "1"}, EXIT_CONFIG),
+     ({"schema": "summit/elsewhere"}, EXIT_CONFIG)],
+    ids=["no-version", "version-2", "version-a-string", "foreign-schema"],
+)
+
+
+@HEADER_CHANGES
+@pytest.mark.parametrize("name", ["manifest.json", "script.json", "corpus.jsonl", "cache.jsonl", "prompts/manifest.json"])
+def test_each_headed_input_of_a_run_holds_to_one_header_rule(runner, tmp_path, name, change, exit_code):
+    path = make_manifest(tmp_path, n=2)
+    (tmp_path / "cache.jsonl").write_text(json.dumps({"schema": "summit/cache", "version": 1}) + "\n", encoding="utf-8")
+    shutil.copytree(resources.files("summit").joinpath("templates"), tmp_path / "prompts")
+    path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")), "prompts": {"dir": "prompts"}}), encoding="utf-8")
+    _with_header(tmp_path / name, **change)
+    result = runner.invoke(main, ["run-exp", str(path)])
+    assert result.exit_code == exit_code, result.output
+    if exit_code:
+        assert isinstance(result.exception, SystemExit)  # an error line, not a traceback
+        assert result.output.startswith("error: ") and str(tmp_path / name) in result.output
+        assert not (tmp_path / "out").exists()  # refused before any output
+
+
+def test_a_scripted_run_over_a_cache_cut_short_matches_the_uninterrupted_run(runner, tmp_path):
+    path = make_manifest(tmp_path, n=2)
+    path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")), "workers": 1}), encoding="utf-8")
+    assert runner.invoke(main, ["run-exp", str(path)]).exit_code == 0
+    # The header and the first two records, as an interrupted run leaves the cache.
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("".join(cache.read_text(encoding="utf-8").splitlines(keepends=True)[:3]), encoding="utf-8")
+    result = runner.invoke(main, ["run-exp", str(path), "--out", str(tmp_path / "resumed")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "resumed" / "stats.json").read_bytes() == (tmp_path / "out" / "stats.json").read_bytes()
+
+    def records(trace: Path) -> list[dict]:
+        lines = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+        for line in lines[1:]:
+            del line["usage"]["cache_hits"]  # the one field a cache hit changes
+        return lines
+
+    names = sorted(p.name for p in (tmp_path / "out" / "traces").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "resumed" / "traces").iterdir())
+    for name in names:
+        assert records(tmp_path / "resumed" / "traces" / name) == records(tmp_path / "out" / "traces" / name)
+
+
+@pytest.mark.parametrize("bad_id", ["doc\0nul", "d" * 250], ids=["nul", "too-long-for-a-file-name"])
+def test_run_exp_refuses_an_id_that_cannot_name_a_trace_before_any_call(runner, tmp_path, bad_id):
+    records = make_corpus_file(tmp_path / "corpus.jsonl", 3)
+    records.append(dataclasses.replace(records[0], id=bad_id))
+    write_corpus(records, tmp_path / "corpus.jsonl")
+    result = runner.invoke(main, ["run-exp", str(make_manifest(tmp_path, n=4, corpus_records=records))])
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"corpus.jsonl:5: id {bad_id!r} cannot name a trace file" in result.output
+    assert not (tmp_path / "out" / "traces").exists() and not (tmp_path / "cache.jsonl").exists()
+
+
 # --- report ------------------------------------------------------------------------
 
 
@@ -1070,6 +1145,17 @@ def write_stats(run_dir: Path, name: str, final: dict, init: dict | None = None)
 
 def cell(mean):
     return {"name": "x", "mean": mean, "count": 1, "values": [mean]}
+
+
+@HEADER_CHANGES
+def test_report_holds_stats_json_to_the_header_rule(runner, tmp_path, change, exit_code):
+    write_stats(tmp_path / "runA", "runA", {"rouge1": cell(0.5)})
+    _with_header(tmp_path / "runA" / "stats.json", **change)
+    result = runner.invoke(main, ["report", str(tmp_path / "runA")])
+    assert result.exit_code == exit_code, result.output
+    if exit_code:
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ") and str(tmp_path / "runA" / "stats.json") in result.output
 
 
 def test_report_scales_rouge_to_hundred(runner, tmp_path):
@@ -1123,8 +1209,8 @@ def test_report_missing_stats(runner, tmp_path):
     "content, message",
     [
         ('{"run": ', "is not valid JSON"),
-        ("[1, 2]", "not a run's stats file"),
-        ('{"run": {}}', "not a run's stats file"),
+        ("[1, 2]", "not a stats file"),
+        ('{"run": {}}', "not a stats file"),
         ('{"schema": "summit/stats", "run": 5}', "'run' is not an object"),
         ('{"schema": "summit/stats", "metrics": {"final": {"rouge1": 3}}}', "metrics.final.rouge1 has no numeric mean"),
     ],
@@ -1159,7 +1245,7 @@ def test_convert_command(runner, tmp_path):
     [
         (json.dumps({"id": "x2", "document": "second body"}), "missing field: 'summary'"),
         (json.dumps({"id": "x2", "document": "second body", "summary": ""}), "reference summary"),
-        ('{"id": "x2", "document": "sec', "invalid JSON"),
+        ('{"id": "x2", "document": "sec', "xsum.jsonl:2: not valid JSON: Unterminated string starting at: column 26"),
     ],
     ids=["missing-summary", "empty-summary", "torn-line"],
 )

@@ -104,6 +104,31 @@ def test_ids_that_cannot_name_a_trace_file_are_rejected(tmp_path, bad_id):
     assert result.errors == [(2, f"id {bad_id!r} cannot name a trace file")]
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"summaries": "Fixed."}, "summaries and topics must be JSON arrays of strings"),
+        ({"summaries": {"a": 1}}, "summaries and topics must be JSON arrays of strings"),
+        ({"topics": "ab"}, "summaries and topics must be JSON arrays of strings"),
+        ({"id": "nul\0byte"}, "id 'nul\\x00byte' cannot name a trace file"),
+        ({"id": "x" * 250}, f"id {'x' * 250!r} cannot name a trace file"),
+    ],
+    ids=["summaries-a-string", "summaries-an-object", "topics-a-string", "id-with-nul", "id-too-long-for-a-file-name"],
+)
+def test_strict_load_refuses_a_record_no_run_could_use(tmp_path, change, message):
+    record = {"id": "c", "document": "third document text", "summaries": ["a summary"], "topics": [], **change}
+    path = write_lines(tmp_path / "c.jsonl", [GOOD, json.dumps(record), GOOD2])
+    with pytest.raises(SchemaViolation) as refused:
+        load_corpus(path, strict=True)
+    assert refused.value.line_numbers == [2]
+    assert str(refused.value).endswith(f"{path}:2: {message}")
+
+
+def test_an_id_whose_trace_file_name_is_255_bytes_loads(tmp_path):
+    record = {"id": "x" * 249, "document": "some document text", "summaries": ["a summary"]}
+    assert load_corpus(write_lines(tmp_path / "c.jsonl", [json.dumps(record)]), strict=True).records[0].id == "x" * 249
+
+
 # --- sampling -----------------------------------------------------------------
 
 
@@ -212,11 +237,8 @@ def test_convert_cnn_dm_and_newts(tmp_path):
         ([""], None),
         ([json.dumps({"id": "x", "document": "body", "summary": "one"})] * 2, None),
         ([json.dumps({"id": "a/b", "document": "body", "summary": "one"})], None),
-        (["[1, 2]"], "line 1: record must be a JSON object"),
-        (
-            ['{"id": "x", "document": "body \udcff", "summary": "one"}'],
-            "line 1: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 30: invalid start byte",
-        ),
+        (["[1, 2]"], "xsum.jsonl:1: record must be a JSON object"),
+        (['{"id": "x", "document": "body \udcff", "summary": "one"}'], "xsum.jsonl:1: not UTF-8: invalid start byte at byte 31"),
     ],
     ids=["no-records", "duplicate-id", "id-with-slash", "not-an-object", "not-utf8"],
 )

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import plan_session
 from summit.backend import ScriptedBackend
+from summit.errors import ConfigError
 from summit.session import run_session
 from summit.trace_io import read_trace, write_trace
 from summit.types import Document, EditKind, SessionConfig
@@ -64,7 +65,7 @@ def test_roundtrip_preserves_step_content(tmp_path, trace):
 def test_rejects_foreign_files(tmp_path):
     path = tmp_path / "bogus.jsonl"
     path.write_text('{"schema": "something/else", "version": 1}\n', encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="not a trace file"):
         read_trace(path)
 
 
