@@ -13,11 +13,10 @@ import enum
 import json
 import re
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from .cache import ResponseCache
 from .errors import AuthError, ConfigError, ReplayMiss, ScriptExhausted, ScriptMismatch, TransportError, read_json
@@ -51,11 +50,11 @@ class Role(enum.Enum):
     ASSISTANT = "assistant"
 
 
-@dataclass(frozen=True)
 class ChatMessage:
     """One turn of a chat. A thread resends all its messages on every call,
     so what a call needs from a message is computed once and kept in the
     instance ``__dict__``; equality and hashing see only role and content.
+    A message is immutable: assigning an attribute raises AttributeError.
 
     ``parts`` is the content cut into pieces that join to it (``ValueError``
     otherwise); none given means the single part ``(content,)``. ``tokens``
@@ -64,14 +63,23 @@ class ChatMessage:
     document, embedded in every evaluate prompt) is counted and escaped once.
     """
 
-    role: Role
-    content: str
-    parts: tuple[str, ...] = field(default=(), compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts) or (self.content,))
-        if "".join(self.parts) != self.content:
+    def __init__(self, role: Role, content: str, parts: tuple[str, ...] = ()):
+        parts = tuple(parts) or (content,)
+        if "".join(parts) != content:
             raise ValueError("a message's parts must join to its content")
+        vars(self).update(role=role, content=content, parts=parts)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a ChatMessage is immutable")
+
+    def __eq__(self, other):
+        return (self.role, self.content) == (other.role, other.content) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.role, self.content))
+
+    def __repr__(self) -> str:
+        return f"ChatMessage(role={self.role!r}, content={self.content!r})"
 
     def to_wire(self) -> dict:
         return {"role": self.role.value, "content": self.content}
@@ -122,25 +130,53 @@ def _escaped(text: str) -> bytes:
     return encode_basestring_ascii(text)[1:-1].encode("ascii")
 
 
-@dataclass(frozen=True)
 class CompletionRequest:
     """One call's input. ``parent`` is the same thread's previous request,
     whose messages begin this one's; ``cache_key`` continues the hash it
     saved on the parent, and checks that claim before it does (see there).
-    It takes no part in equality."""
+    It takes no part in equality or the repr. A request is immutable:
+    assigning an attribute raises AttributeError."""
 
-    model_id: str
-    messages: tuple[ChatMessage, ...]
-    temperature: float
-    max_output_tokens: int
-    request_tag: str = ""
-    parent: CompletionRequest | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if not self.messages:
+    def __init__(
+        self,
+        model_id: str,
+        messages: tuple[ChatMessage, ...],
+        temperature: float,
+        max_output_tokens: int,
+        request_tag: str = "",
+        parent: CompletionRequest | None = None,
+    ):
+        if not messages:
             raise ValueError("messages must be non-empty")
-        if self.messages[0].role is not Role.SYSTEM:
+        if messages[0].role is not Role.SYSTEM:
             raise ValueError("first message must be the system prompt")
+        vars(self).update(
+            model_id=model_id,
+            messages=messages,
+            temperature=temperature,
+            max_output_tokens=max_output_tokens,
+            request_tag=request_tag,
+            parent=parent,
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a CompletionRequest is immutable")
+
+    def _compared(self) -> tuple:
+        return self.model_id, self.messages, self.temperature, self.max_output_tokens, self.request_tag
+
+    def __eq__(self, other):
+        return self._compared() == other._compared() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        return (
+            f"CompletionRequest(model_id={self.model_id!r}, messages={self.messages!r}, "
+            f"temperature={self.temperature!r}, max_output_tokens={self.max_output_tokens!r}, "
+            f"request_tag={self.request_tag!r})"
+        )
 
     @property
     def last_user_content(self) -> str:
@@ -306,7 +342,7 @@ class HttpBackend:
             if not isinstance(text, str):
                 raise TypeError(f"content is {type(text).__name__}, not a string")
             prompt_tokens, completion_tokens = token_counts(data.get("usage"))
-        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError, RecursionError) as exc:
             raise TransportError(f"malformed completion response: {exc}") from exc
         return CompletionResponse(text, prompt_tokens, completion_tokens, ServedFrom.LIVE)
 
@@ -314,8 +350,7 @@ class HttpBackend:
 # --- scripted mock ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScriptStep:
+class ScriptStep(NamedTuple):
     """A matcher against the last user message plus the canned reply."""
 
     response: str
@@ -394,7 +429,6 @@ def load_script(path: str | Path) -> list[ScriptStep]:
 # --- cache wrapper and replay ----------------------------------------------
 
 
-@dataclass
 class CachedBackend:
     """Serve from the cache when possible; store every inner response.
 
@@ -404,8 +438,9 @@ class CachedBackend:
     inner backend, as the request would without the cache.
     """
 
-    inner: CompletionBackend
-    cache: ResponseCache
+    def __init__(self, inner: CompletionBackend, cache: ResponseCache):
+        self.inner = inner
+        self.cache = cache
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         key = cache_key(request)
@@ -438,28 +473,37 @@ class ReplayBackend:
 # --- construction -------------------------------------------------------------
 
 
-@dataclass
-class BackendSettings:
-    """Where completions come from. ``model`` is the model id sessions
-    request; every source of backend settings can set it."""
-
+class _BackendSettings(NamedTuple):
     mode: str = "live"
     script: Path | None = None
     cache: Path | None = None
     base_url: str | None = None
     api_key: str = ""
-    model: str = SessionConfig.model_id
+    model: str = SessionConfig._field_defaults["model_id"]
     rpm: int | None = None
     timeout: float = DEFAULT_TIMEOUT
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
 
-    def __post_init__(self):
+
+class BackendSettings(_BackendSettings):
+    """Where completions come from. ``model`` is the model id sessions
+    request; every source of backend settings can set it. A copy made with
+    ``_replace`` is checked as a new one is."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in BACKEND_MODES:
             raise ConfigError(f"backend mode must be one of {BACKEND_MODES}")
         if self.mode == "scripted" and self.script is None:
             raise ConfigError("scripted mode requires a script path")
         if self.mode == "replay" and self.cache is None:
             raise ConfigError("replay mode requires a cache path")
+        return self
+
+    def _replace(self, **changes) -> BackendSettings:
+        return BackendSettings(**{**self._asdict(), **changes})
 
 
 def backend_factory(settings: BackendSettings, cache: ResponseCache | None) -> Callable[[], CompletionBackend]:

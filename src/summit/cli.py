@@ -9,7 +9,6 @@ completed with per-document failures. Each error class carries its code.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import sys
@@ -35,6 +34,8 @@ EXIT_PARTIAL = 4
 
 #: The stderr prefix of each exit code; any other code prints "error".
 _PREFIXES = {SummitError.exit_code: "internal error", EXIT_BACKEND: "backend error"}
+
+_SESSION_DEFAULTS = SessionConfig._field_defaults
 
 
 def _handle_errors(fn):
@@ -63,12 +64,12 @@ def main():
 @main.command()
 @click.option("--doc", type=click.Path(exists=True, dir_okay=False), help="Document file (default: stdin).")
 @click.option("--doc-id", default=None, help="Identifier recorded in the trace (default: the file stem, or stdin).")
-@click.option("--setting", type=click.Choice([s.value for s in Setting]), default=SessionConfig.setting.value, show_default=True)
+@click.option("--setting", type=click.Choice([s.value for s in Setting]), default=_SESSION_DEFAULTS["setting"].value, show_default=True)
 @click.option("--topic", default=None, help="Topic query (required for --setting control).")
-@click.option("--max-iters", type=int, default=SessionConfig.max_iterations, show_default=True)
+@click.option("--max-iters", type=int, default=_SESSION_DEFAULTS["max_iterations"], show_default=True)
 @click.option("--model", default=None, help="Model id (default: SUMMIT_MODEL or config).")
 @click.option("--trace-out", type=click.Path(dir_okay=False), default=None, help="Write the session trace here.")
-@click.option("--backend", "mode", type=click.Choice(BACKEND_MODES), default=BackendSettings.mode, show_default=True)
+@click.option("--backend", "mode", type=click.Choice(BACKEND_MODES), default=BackendSettings._field_defaults["mode"], show_default=True)
 @click.option("--script", type=click.Path(exists=True, dir_okay=False), default=None, help="Script file for --backend scripted.")
 @click.option("--cache", default=None, help="Response cache file.")
 @click.option("--base-url", default=None, help="Chat-completions base URL.")
@@ -76,9 +77,9 @@ def main():
 @click.option("--exemplars", type=click.Path(exists=True, dir_okay=False), default=None, help="JSONL exemplar file for few-shot prompts.")
 @click.option("--shots", type=click.IntRange(min=0), default=DEFAULT_SHOTS, show_default=True, help="Exemplars per prompt; 0 means none.")
 @click.option("--prompts-dir", type=click.Path(exists=True, file_okay=False), default=None, help="Override the packaged prompt templates.")
-@click.option("--temperature", type=float, default=SessionConfig.temperature, show_default=True)
-@click.option("--max-output-tokens", type=int, default=SessionConfig.max_output_tokens, show_default=True)
-@click.option("--stop-marker", default=SessionConfig.stop_marker, show_default=True)
+@click.option("--temperature", type=float, default=_SESSION_DEFAULTS["temperature"], show_default=True)
+@click.option("--max-output-tokens", type=int, default=_SESSION_DEFAULTS["max_output_tokens"], show_default=True)
+@click.option("--stop-marker", default=_SESSION_DEFAULTS["stop_marker"], show_default=True)
 @click.option("--strict", is_flag=True, help="Raise on unparseable evaluator output.")
 @click.option("--token-budget", type=int, default=None, help="Abort the session past this many tokens.")
 @click.option("--knowledge-endpoint", default=None, help="Remote triplet extractor for --setting faithfulness.")
@@ -110,7 +111,7 @@ def summarize(
         setting=Setting(setting),
         max_iterations=max_iters,
         topic_query=topic,
-        exemplars=exemplar_list,
+        exemplars=tuple(exemplar_list),
         temperature=temperature,
         max_output_tokens=max_output_tokens,
         stop_marker=stop_marker,
@@ -137,14 +138,14 @@ def _load_manifest(manifest_path, mode, out, workers):
     manifest = RunManifest.from_file(manifest_path)
     changes = {}
     if mode is not None:
-        changes["backend"] = dataclasses.replace(manifest.backend, mode=mode)
+        changes["backend"] = manifest.backend._replace(mode=mode)
     if out is not None:
         if not out:
             raise ConfigError("--out must name a directory")
         changes["output_dir"] = Path(out).resolve()
     if workers is not None:
         changes["workers"] = workers
-    return dataclasses.replace(manifest, **changes) if changes else manifest
+    return manifest._replace(**changes) if changes else manifest
 
 
 def _finish_experiment(result):

@@ -8,7 +8,6 @@ config file is YAML with nested sections (backend, knowledge).
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import types
 import typing
@@ -77,7 +76,7 @@ def coerce(hint, value, base: Path | None = None, key: str = "value"):
 
     ``X | None`` converts to ``X``; a path is given as a string (or a
     Path), and a relative one resolves against ``base`` when one is given;
-    a nested dataclass is built from a mapping.
+    a nested record (a NamedTuple) is built from a mapping.
     A bool, int or float field takes only the types ``_ACCEPTED`` names, so
     ``"false"`` is no bool and 2.7 no int (ConfigError naming ``key``).
     """
@@ -87,7 +86,7 @@ def coerce(hint, value, base: Path | None = None, key: str = "value"):
         if not isinstance(value, (str, Path)):
             raise ConfigError(f"{key} must be a path string, not {type(value).__name__} {value!r}")
         return (base / value).resolve() if base is not None else Path(value)
-    if dataclasses.is_dataclass(hint):
+    if hasattr(hint, "_fields"):
         return hint(**params_of(hint, mapping(value, key), base))
     if hint in _ACCEPTED and type(value) not in _ACCEPTED[hint]:
         raise ConfigError(f"{key} must be of type {hint.__name__}, not {type(value).__name__} {value!r}")
@@ -95,7 +94,7 @@ def coerce(hint, value, base: Path | None = None, key: str = "value"):
 
 
 def params_of(cls, data: dict, base: Path | None = None) -> dict:
-    """Keyword arguments for dataclass ``cls`` from the keys of ``data`` it has fields for."""
+    """Keyword arguments for record ``cls`` from the keys of ``data`` it has fields for."""
     hints = typing.get_type_hints(cls)
     return {k: coerce(hints[k], v, base, k) for k, v in data.items() if k in hints and is_set(v)}
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import SampleTooLarge, SchemaViolation, read_json_lines
 from .metrics import tokenize
@@ -30,29 +31,37 @@ class Split(enum.Enum):
     TEST = "test"
 
 
-@dataclass(frozen=True)
-class DatasetRecord:
+class DatasetRecord(NamedTuple):
     id: str
     document: str
     summaries: tuple[str, ...]
     topics: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class SampleSpec:
+class _SampleSpec(NamedTuple):
     n: int
     seed: int
     split: Split = Split.TEST
 
-    def __post_init__(self):
+
+class SampleSpec(_SampleSpec):
+    """The sample a run takes (see ``sample``); ``n`` must be positive."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, seed: int, *args, **kwargs):
+        self = super().__new__(cls, n, seed, *args, **kwargs)
         if self.n < 1:
             raise ValueError("sample size must be positive")
+        return self
+
+    def _replace(self, **changes) -> SampleSpec:
+        return SampleSpec(**{**self._asdict(), **changes})
 
 
-@dataclass
-class LoadResult:
+class LoadResult(NamedTuple):
     records: list[DatasetRecord]
-    errors: list[tuple[int, str]] = field(default_factory=list)
+    errors: list[tuple[int, str]]
 
 
 def _validate_record(raw: dict, schema: CorpusSchema) -> DatasetRecord:
@@ -64,9 +73,14 @@ def _validate_record(raw: dict, schema: CorpusSchema) -> DatasetRecord:
     summaries, topics = ([] if raw.get(key) is None else raw[key] for key in ("summaries", "topics"))
     if not isinstance(summaries, list) or not isinstance(topics, list):
         raise ValueError("summaries and topics must be JSON arrays of strings")
-    # <id>.jsonl names the trace file: no separator or NUL, at most 255 bytes (the usual NAME_MAX).
-    name = f"{rec_id}.jsonl".encode("utf-8", "surrogatepass")
-    if rec_id in ("", ".", "..") or any(c in rec_id for c in "/\\\0") or len(name) > 255:
+    # <id>.jsonl names the trace file: the file system's encoding must encode
+    # it (a lone surrogate other than an escaped byte does not), with no
+    # separator or NUL and in at most 255 bytes (the usual NAME_MAX).
+    try:
+        name = os.fsencode(f"{rec_id}.jsonl")
+    except UnicodeEncodeError:
+        name = None
+    if name is None or rec_id in ("", ".", "..") or any(c in rec_id for c in "/\\\0") or len(name) > 255:
         raise ValueError(f"id {rec_id!r} cannot name a trace file")
     if not isinstance(document, str) or not document.strip():
         raise ValueError("document must be a non-empty string")
@@ -169,8 +183,7 @@ def sample(records: list[DatasetRecord], spec: SampleSpec) -> list[DatasetRecord
     return [records[i] for i in indices]
 
 
-@dataclass(frozen=True)
-class WordStats:
+class WordStats(NamedTuple):
     count: int
     mean_document_words: float
     mean_summary_words: float

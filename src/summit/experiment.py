@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import Callable, NamedTuple, get_type_hints
 
 from . import metrics
 from ._version import __version__
@@ -35,43 +34,62 @@ STATS_HEADER = {"schema": "summit/stats", "version": 1}
 CALLS_HEADER = {"schema": "summit/calls", "version": 1}
 
 
-def _at(key: str, default=MISSING, default_factory=MISSING):
-    """A RunManifest field stored at ``key`` in the manifest JSON: either
-    "section.name" or a top-level name."""
-    section, _, name = key.rpartition(".")
-    return field(default=default, default_factory=default_factory, metadata={"section": section, "key": name})
+#: The SessionConfig fields a manifest's session section holds, with their
+#: defaults (exemplars come from exemplars_path).
+_SESSION_DEFAULTS = {k: v for k, v in SessionConfig._field_defaults.items() if k != "exemplars"}
 
 
-#: The SessionConfig fields a manifest's session section holds (exemplars
-#: come from exemplars_path).
-_CONFIG_FIELDS = [f for f in fields(SessionConfig) if f.name != "exemplars"]
+class _RunManifest(NamedTuple):
+    name: str
+    corpus_path: Path
+    sample: SampleSpec
+    session_params: dict
+    output_dir: Path
+    corpus_schema: CorpusSchema = CorpusSchema.GENERIC
+    backend: BackendSettings = BackendSettings()
+    workers: int = 4
+    topic_index: int = 0
+    exemplars_path: Path | None = None
+    shots: int = DEFAULT_SHOTS
+    knowledge_endpoint: str | None = None
+    knowledge_fallback: bool = True
+    faithfulness_endpoint: str | None = None
+    prompts_dir: Path | None = None
 
 
-@dataclass
-class RunManifest:
+class RunManifest(_RunManifest):
     """A run description. ``session_params`` holds SessionConfig keyword
     arguments for one SessionConfig per document (control runs take the
-    topic from each record unless the manifest pins one). Each field names
-    its place in the manifest JSON; its type and default give the rest.
+    topic from each record unless the manifest pins one). ``KEYS`` names
+    each field's place in the manifest JSON; its type and default give the
+    rest. A copy made with ``_replace`` is checked as a new one is.
     """
 
-    name: str = _at("name")
-    corpus_path: Path = _at("corpus.path")
-    sample: SampleSpec = _at("sample")
-    session_params: dict = _at("session")
-    output_dir: Path = _at("output_dir")
-    corpus_schema: CorpusSchema = _at("corpus.schema", CorpusSchema.GENERIC)
-    backend: BackendSettings = _at("backend", default_factory=BackendSettings)
-    workers: int = _at("workers", 4)
-    topic_index: int = _at("session.topic_index", 0)
-    exemplars_path: Path | None = _at("session.exemplars_path", None)
-    shots: int = _at("session.shots", DEFAULT_SHOTS)
-    knowledge_endpoint: str | None = _at("knowledge.endpoint", None)
-    knowledge_fallback: bool = _at("knowledge.fallback_to_naive", True)
-    faithfulness_endpoint: str | None = _at("faithfulness.endpoint", None)
-    prompts_dir: Path | None = _at("prompts.dir", None)
+    __slots__ = ()
 
-    def __post_init__(self):
+    #: Each field's key in the manifest JSON: "section.name" or a top-level name.
+    KEYS = {
+        "name": "name",
+        "corpus_path": "corpus.path",
+        "sample": "sample",
+        "session_params": "session",
+        "output_dir": "output_dir",
+        "corpus_schema": "corpus.schema",
+        "backend": "backend",
+        "workers": "workers",
+        "topic_index": "session.topic_index",
+        "exemplars_path": "session.exemplars_path",
+        "shots": "session.shots",
+        "knowledge_endpoint": "knowledge.endpoint",
+        "knowledge_fallback": "knowledge.fallback_to_naive",
+        "faithfulness_endpoint": "faithfulness.endpoint",
+        "prompts_dir": "prompts.dir",
+    }
+
+    def __new__(
+        cls, name: str, corpus_path: Path, sample: SampleSpec, session_params: dict, output_dir: Path, *args, **kwargs
+    ):
+        self = super().__new__(cls, name, corpus_path, sample, session_params, output_dir, *args, **kwargs)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.shots < 0:
@@ -82,9 +100,13 @@ class RunManifest:
             self.session_for(topic="probe" if self.setting is Setting.CONTROL else None)
         except ConfigError as exc:
             raise ConfigError(f"invalid session template: {exc}") from exc
+        return self
+
+    def _replace(self, **changes) -> RunManifest:
+        return RunManifest(**{**self._asdict(), **changes})
 
     def _param(self, name: str):
-        return self.session_params.get(name, getattr(SessionConfig, name))
+        return self.session_params.get(name, SessionConfig._field_defaults[name])
 
     @property
     def setting(self) -> Setting:
@@ -103,17 +125,17 @@ class RunManifest:
         if topic is not None and not params.get("topic_query"):
             params["topic_query"] = topic
         if exemplars:
-            params["exemplars"] = exemplars
+            params["exemplars"] = tuple(exemplars)
         return SessionConfig(**params)
 
     def resolved(self) -> "RunManifest":
         """This manifest with its backend settings resolved (manifest >
         environment > default) and written in, so its emitted copy pins them.
         The model is the session's ``model_id``."""
-        values = {**asdict(self.backend), "model": self.session_params.get("model_id")}
+        values = {**self.backend._asdict(), "model": self.session_params.get("model_id")}
         backend = resolve_settings(values, environment())
         params = {**self.session_params, "model_id": backend.model}
-        return replace(self, backend=backend, session_params=params)
+        return self._replace(backend=backend, session_params=params)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunManifest":
@@ -126,35 +148,35 @@ class RunManifest:
         hints = get_type_hints(cls)
         values = {}
         try:
-            for f in fields(cls):
-                section, key = f.metadata["section"], f.metadata["key"]
+            for field, place in cls.KEYS.items():
+                section, _, key = place.rpartition(".")
                 source = mapping(data.get(section), section) if section else data
-                if f.name == "session_params":
-                    values[f.name] = params_of(SessionConfig, mapping(data.get(key), key))
+                if field == "session_params":
+                    values[field] = params_of(SessionConfig, mapping(data.get(key), key))
                 elif is_set(source.get(key)):
-                    values[f.name] = coerce(hints[f.name], source[key], path.parent, key)
+                    values[field] = coerce(hints[field], source[key], path.parent, key)
             return cls(**values)
         except (AttributeError, KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"invalid manifest {path}: {exc}") from exc
 
     def to_dict(self) -> dict:
         out: dict = dict(MANIFEST_HEADER)
-        for f in fields(self):
-            section, key = f.metadata["section"], f.metadata["key"]
-            if f.name == "session_params":
+        for field, place in self.KEYS.items():
+            section, _, key = place.rpartition(".")
+            if field == "session_params":
                 # Every session key; those the params leave out take their defaults.
                 params = self.session_params
-                session = {c.name: _encode(params.get(c.name, c.default)) for c in _CONFIG_FIELDS}
+                session = {name: _encode(params.get(name, default)) for name, default in _SESSION_DEFAULTS.items()}
                 out.setdefault(key, {}).update(session)
-            elif f.name == "backend":
+            elif field == "backend":
                 # The model is the session's model_id; the API key is never written.
                 backend = _encode(self.backend)
                 del backend["model"], backend["api_key"]
                 out[key] = backend
             elif section:
-                out.setdefault(section, {})[key] = _encode(getattr(self, f.name))
+                out.setdefault(section, {})[key] = _encode(getattr(self, field))
             else:
-                out[key] = _encode(getattr(self, f.name))
+                out[key] = _encode(getattr(self, field))
         return out
 
 
@@ -164,8 +186,8 @@ def _encode(value):
         return value.value
     if isinstance(value, Path):
         return str(value)
-    if is_dataclass(value):
-        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if hasattr(value, "_asdict"):  # a nested record: BackendSettings or SampleSpec
+        return {name: _encode(item) for name, item in value._asdict().items()}
     return value
 
 
@@ -204,11 +226,10 @@ def estimate_calls(manifest: RunManifest) -> dict:
     }
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     output_dir: Path
     stats: dict
-    failures: list[dict] = field(default_factory=list)
+    failures: list[dict]
 
 
 def build_parts(
@@ -430,10 +451,10 @@ def _write_outputs(manifest, records, outcomes) -> ExperimentResult:
         "metrics": {},
     }
     if iteration_values:
-        stats["iterations"] = aggregate(iteration_values, "iterations").to_dict()
+        stats["iterations"] = aggregate(iteration_values, "iterations")._asdict()
     for label in ("init", "final"):
         stats["metrics"][label] = {
-            metric: aggregate(values, f"{label}/{metric}").to_dict()
+            metric: aggregate(values, f"{label}/{metric}")._asdict()
             for metric, values in sorted(per_metric[label].items())
         }
 

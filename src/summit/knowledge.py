@@ -9,8 +9,7 @@ claim of parity with a real extractor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .errors import RemoteUnavailable
 
@@ -36,18 +35,28 @@ _PARTICLES = {
 }
 
 
-@dataclass(frozen=True)
-class Triplet:
+class _Triplet(NamedTuple):
     subject: str
     relation: str
     object: str
     confidence: float | None = None
 
-    def __post_init__(self):
+
+class Triplet(_Triplet):
+    """A (subject, relation, object) fact with an optional confidence in [0, 1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, subject: str, relation: str, object: str, *args, **kwargs):
+        self = super().__new__(cls, subject, relation, object, *args, **kwargs)
         if not (self.subject.strip() and self.relation.strip() and self.object.strip()):
             raise ValueError("triplet fields must be non-empty")
         if self.confidence is not None and not 0.0 <= self.confidence <= 1.0:
             raise ValueError("confidence must be in [0, 1]")
+        return self
+
+    def _replace(self, **changes) -> Triplet:
+        return Triplet(**{**self._asdict(), **changes})
 
 
 class TripletExtractor(Protocol):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateDistribution, EmptyInput, RemoteUnavailable
 
@@ -44,8 +44,7 @@ def has_tokens(text: str, minimum: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class RougeScore:
+class RougeScore(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -162,17 +161,13 @@ def topic_similarity(query: str | list[str], summary: str | list[str]) -> float:
     return dot / (norm_q * norm_s)
 
 
-@dataclass
-class CorpusStats:
+class CorpusStats(NamedTuple):
     """Per-document values of one metric plus their arithmetic mean."""
 
     name: str
     mean: float
     count: int
     values: list[float]
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "mean": self.mean, "count": self.count, "values": self.values}
 
 
 def aggregate(values: list[float], name: str) -> CorpusStats:

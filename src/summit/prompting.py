@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .backend import hashlib
 from .config import mapping
@@ -70,8 +70,7 @@ ROLE_STAGES = {
 _SLOT_RE = re.compile(r"\{\{(\w+)\}\}")
 
 
-@dataclass(frozen=True)
-class RenderedPrompt:
+class RenderedPrompt(NamedTuple):
     """Both messages of one call. ``user_parts`` are the non-empty pieces of
     the user message in order, so they join to ``user``; each slot's piece is
     the context's own value object, which lets a message count and escape a

@@ -8,8 +8,8 @@ faithfulness column, when present, is the mean remote-scorer output.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import MissingStats, read_json
 from .experiment import STATS_HEADER
@@ -27,8 +27,7 @@ COLUMNS = (
 )
 
 
-@dataclass
-class ReportRow:
+class ReportRow(NamedTuple):
     label: str
     cells: dict[str, float]
 

@@ -10,8 +10,6 @@ Every evaluate prompt embeds the document again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .backend import ChatMessage, CompletionBackend, CompletionRequest, Role
 from .errors import BudgetExceeded
 from .knowledge import NaiveExtractor, TripletExtractor, extract_triplets, render_triplets, select_for_prompt
@@ -59,17 +57,24 @@ def should_stop(feedback: Feedback, iteration: int, config: SessionConfig) -> St
     return None
 
 
-@dataclass
 class ChatThread:
     """Accumulated conversation state for one role within one session."""
 
-    role: PromptRole
-    config: SessionConfig
-    context: dict[str, str]
-    usage: Usage
-    document_id: str = ""
-    messages: list[ChatMessage] = field(default_factory=list)
-    last_request: CompletionRequest | None = None
+    def __init__(
+        self,
+        role: PromptRole,
+        config: SessionConfig,
+        context: dict[str, str],
+        usage: Usage,
+        document_id: str = "",
+    ):
+        self.role = role
+        self.config = config
+        self.context = context
+        self.usage = usage
+        self.document_id = document_id
+        self.messages: list[ChatMessage] = []
+        self.last_request: CompletionRequest | None = None
 
     def post(
         self,

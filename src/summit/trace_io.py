@@ -9,8 +9,8 @@ session-level values repeated on every record.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, read_json_lines
 from .types import EditKind, EditOp, SessionTrace, StopReason
@@ -18,8 +18,7 @@ from .types import EditKind, EditOp, SessionTrace, StopReason
 TRACE_HEADER = {"schema": "summit/trace", "version": 1}
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     document_id: str
     iteration: int
     summary_text: str

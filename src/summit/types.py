@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -71,50 +70,80 @@ def token_counts(usage) -> tuple[int, int]:
     return counts
 
 
-@dataclass(frozen=True)
-class EditOp:
-    """One revision command parsed from evaluator feedback."""
+# Immutable records are NamedTuples. One that checks its values is a subclass of
+# a NamedTuple of its fields (typing.NamedTuple takes no ``__new__`` of its
+# own): its ``__new__`` names the fields without a default and checks the
+# built tuple, and its ``_replace`` builds the copy through ``__new__``, so
+# a copy is checked too.
 
+
+class _EditOp(NamedTuple):
     kind: EditKind
     target: str | None = None
 
-    def __post_init__(self):
+
+class EditOp(_EditOp):
+    """One revision command parsed from evaluator feedback."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: EditKind, *args, **kwargs):
+        self = super().__new__(cls, kind, *args, **kwargs)
         if self.kind in TARGETED_KINDS:
             if not self.target or not self.target.strip():
                 raise ValueError(f"{self.kind.value} requires a non-empty target")
         elif self.target is not None:
             raise ValueError(f"{self.kind.value} carries no target")
+        return self
+
+    def _replace(self, **changes) -> EditOp:
+        return EditOp(**{**self._asdict(), **changes})
 
 
-@dataclass(frozen=True)
-class Document:
-    """A source text to summarize."""
-
+class _Document(NamedTuple):
     id: str
     text: str
 
-    def __post_init__(self):
+
+class Document(_Document):
+    """A source text to summarize."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, text: str):
+        self = super().__new__(cls, id, text)
         if not self.text.strip():
             raise ValueError("document text is empty")
+        return self
+
+    def _replace(self, **changes) -> Document:
+        return Document(**{**self._asdict(), **changes})
 
 
-@dataclass(frozen=True)
-class Summary:
-    """A candidate summary at one iteration of the loop."""
-
+class _Summary(NamedTuple):
     text: str
     iteration: int
     origin: SummaryOrigin
 
-    def __post_init__(self):
+
+class Summary(_Summary):
+    """A candidate summary at one iteration of the loop."""
+
+    __slots__ = ()
+
+    def __new__(cls, text: str, iteration: int, origin: SummaryOrigin):
+        self = super().__new__(cls, text, iteration, origin)
         if self.iteration < 0:
             raise ValueError("iteration must be non-negative")
         if (self.iteration == 0) != (self.origin is SummaryOrigin.INITIAL):
             raise ValueError("iteration 0 exactly when origin is INITIAL")
+        return self
+
+    def _replace(self, **changes) -> Summary:
+        return Summary(**{**self._asdict(), **changes})
 
 
-@dataclass
-class Feedback:
+class Feedback(NamedTuple):
     """Evaluator output: verbatim rationale plus its parsed structure.
 
     ``distribution_parsed`` is False when no score distribution could be
@@ -129,8 +158,7 @@ class Feedback:
     distribution_parsed: bool = True
 
 
-@dataclass(frozen=True)
-class Exemplar:
+class Exemplar(NamedTuple):
     """An in-context example; evaluator exemplars also carry an explanation."""
 
     document: str
@@ -138,15 +166,12 @@ class Exemplar:
     explanation: str | None = None
 
 
-@dataclass
-class SessionConfig:
-    """Everything a refinement session needs beyond the document itself."""
-
+class _SessionConfig(NamedTuple):
     model_id: str = "default"
     setting: Setting = Setting.QUALITY
     max_iterations: int = 5
     topic_query: str | None = None
-    exemplars: list[Exemplar] = field(default_factory=list)
+    exemplars: tuple[Exemplar, ...] = ()
     temperature: float = 0.0
     max_output_tokens: int = 512
     stop_marker: str = "<STOP>"
@@ -154,7 +179,15 @@ class SessionConfig:
     min_document_tokens: int = 10
     token_budget: int | None = None
 
-    def __post_init__(self):
+
+class SessionConfig(_SessionConfig):
+    """Everything a refinement session needs beyond the document itself.
+    The defaults are ``SessionConfig._field_defaults``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
         if self.setting is Setting.CONTROL and not (self.topic_query or "").strip():
@@ -167,17 +200,30 @@ class SessionConfig:
             raise ConfigError("stop_marker must be non-empty")
         if self.token_budget is not None and self.token_budget < 1:
             raise ConfigError("token_budget must be positive when set")
+        return self
+
+    def _replace(self, **changes) -> SessionConfig:
+        return SessionConfig(**{**self._asdict(), **changes})
 
 
-@dataclass
 class Usage:
     """Token and call accounting for a session (mutated while the session
     runs). ``calls`` counts the backend's responses by where they were
     served from, keyed by the ``ServedFrom`` value."""
 
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-    calls: Counter[str] = field(default_factory=Counter)
+    def __init__(self, prompt_tokens: int = 0, completion_tokens: int = 0, calls: Counter[str] | None = None):
+        self.prompt_tokens = prompt_tokens
+        self.completion_tokens = completion_tokens
+        self.calls = Counter() if calls is None else calls
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"Usage(prompt_tokens={self.prompt_tokens!r}, "
+            f"completion_tokens={self.completion_tokens!r}, calls={self.calls!r})"
+        )
 
     @property
     def cache_hits(self) -> int:
@@ -188,17 +234,14 @@ class Usage:
         return self.prompt_tokens + self.completion_tokens
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     summary: Summary
     feedback: Feedback
 
 
-@dataclass
-class SessionTrace:
+class SessionTrace(NamedTuple):
     """The drafts, feedback, stop reason and token usage of one session,
-    which the trace file records (see trace_io). Treat as immutable once
-    returned."""
+    which the trace file records (see trace_io)."""
 
     document_id: str
     steps: list[TraceStep]

@@ -79,10 +79,17 @@ def no_sleep(_):
 
 
 def test_request_requires_system_first():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^first message must be the system prompt$"):
         CompletionRequest("m", (ChatMessage(Role.USER, "hi"),), 0.0, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^messages must be non-empty$"):
         CompletionRequest("m", (), 0.0, 10)
+    # Equality and hashing see every field but the parent; a request is immutable.
+    request = make_request()
+    child = CompletionRequest(**{**vars(request), "parent": make_request("other")})
+    assert child == request and hash(child) == hash(request) and repr(child) == repr(request)
+    assert make_request(tag="t2") != request and make_request(temperature=0.5) != request
+    with pytest.raises(AttributeError):
+        request.model_id = "other"
 
 
 def test_cache_key_ignores_request_tag():
@@ -268,6 +275,11 @@ def test_memoized_message_equals_and_hashes_like_a_fresh_one():
     assert hash(used) == hash(fresh)
     assert {fresh: "found"}[used] == "found"
     assert repr(used) == repr(fresh)
+    # Parts take no part in equality; role and content do. A message is immutable.
+    assert ChatMessage(Role.USER, "two words", ("two ", "words")) == used
+    assert ChatMessage(Role.ASSISTANT, "two words") != used != ChatMessage(Role.USER, "two")
+    with pytest.raises(AttributeError):
+        used.content = "other"
 
 
 # --- live client --------------------------------------------------------------
@@ -358,10 +370,11 @@ def test_a_reply_the_cache_could_not_hold_is_a_transport_error(body):
 
 
 def test_malformed_body_is_transport_error():
-    transport = FakeTransport([(200, "not json")])
-    backend = HttpBackend("http://x", transport=transport, sleep=no_sleep)
-    with pytest.raises(TransportError):
-        backend.complete(make_request())
+    # The nested body makes the JSON decoder raise RecursionError.
+    for body in ("not json", "[" * 100000):
+        backend = HttpBackend("http://x", transport=FakeTransport([(200, body)]), sleep=no_sleep)
+        with pytest.raises(TransportError, match="malformed completion response"):
+            backend.complete(make_request())
 
 
 # --- scripted backend ------------------------------------------------------------

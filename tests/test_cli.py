@@ -1,7 +1,7 @@
 from __future__ import annotations
 
-import dataclasses
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -15,12 +15,13 @@ from click.testing import CliRunner
 import summit.cli as cli
 import summit.experiment as experiment
 from helpers import QUALITY_SCRIPT, RecordingBackend, make_corpus_file, write_script
-from summit.backend import CompletionResponse, ServedFrom
+from summit.backend import BackendSettings, CompletionResponse, ServedFrom
 from summit.cache import ResponseCache
 from summit.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_PARTIAL, main
 from summit.config import resolve_backend_settings
 from summit.corpus import load_corpus, write_corpus
 from summit.errors import (
+    ConfigError,
     DegenerateDistribution,
     EmptyInput,
     MissingSlot,
@@ -392,7 +393,7 @@ def test_run_exp_counts_the_calls_of_documents_that_fail(runner, tmp_path):
 
 def test_finished_traces_survive_a_later_crash(tmp_path, monkeypatch):
     path = make_manifest(tmp_path, n=5)
-    manifest = dataclasses.replace(RunManifest.from_file(path), workers=1)
+    manifest = RunManifest.from_file(path)._replace(workers=1)
     finished = []
     real_run_session = experiment.run_session
 
@@ -413,7 +414,7 @@ def test_finished_traces_survive_a_later_crash(tmp_path, monkeypatch):
 
 def test_an_interrupted_run_leaves_the_manifest_a_complete_run_writes(tmp_path, monkeypatch):
     path = make_manifest(tmp_path, n=4)
-    manifest = dataclasses.replace(RunManifest.from_file(path), workers=1)
+    manifest = RunManifest.from_file(path)._replace(workers=1)
     started = []
     real_run_session = experiment.run_session
 
@@ -516,7 +517,7 @@ def test_replay_over_a_malformed_record_fails_that_document_alone(runner, tmp_pa
 def test_a_run_with_lone_surrogates_completes_and_replays_identically(runner, tmp_path):
     # A live API that cuts an emoji's surrogate pair in half returns a lone surrogate.
     records = make_corpus_file(tmp_path / "corpus.jsonl", 10)
-    records = [dataclasses.replace(r, document=f"{r.document} Cut \ud83d here.") for r in records]
+    records = [r._replace(document=f"{r.document} Cut \ud83d here.") for r in records]
     write_corpus(records, tmp_path / "corpus.jsonl")
     script = [dict(QUALITY_SCRIPT[0], response="Init \ud800 summary."), *QUALITY_SCRIPT[1:]]
     manifest = make_manifest(tmp_path, n=10, script=script, corpus_records=records)
@@ -532,7 +533,9 @@ def test_a_run_with_lone_surrogates_completes_and_replays_identically(runner, tm
 
 
 def test_a_failure_record_holding_a_lone_surrogate_is_written(runner, tmp_path):
-    records = [dataclasses.replace(r, id=f"{r.id}\ud800") for r in make_corpus_file(tmp_path / "corpus.jsonl", 2)]
+    # A \udc80-style surrogate names a file (the file system encodes it as the byte it
+    # escapes), so the documents run and fail, and failures.jsonl must escape the id.
+    records = [r._replace(id=f"{r.id}\udc80") for r in make_corpus_file(tmp_path / "corpus.jsonl", 2)]
     write_corpus(records, tmp_path / "corpus.jsonl")
     manifest = make_manifest(tmp_path, n=2, corpus_records=records, token_budget=1)
     result = runner.invoke(main, ["run-exp", str(manifest)])
@@ -862,6 +865,33 @@ def test_emitted_manifest_reloads_to_the_same_dict(runner, tmp_path):
     assert RunManifest.from_file(emitted_path).to_dict() == emitted
 
 
+def test_manifests_and_backend_settings_compare_by_value_and_check_their_copies(tmp_path):
+    manifest = RunManifest.from_file(make_manifest(tmp_path, n=2))
+    assert manifest == RunManifest.from_file(make_manifest(tmp_path, n=2))
+    assert manifest._replace(workers=1) != manifest and manifest._replace(workers=1).workers == 1
+    with pytest.raises(AttributeError):
+        manifest.workers = 1
+    for changes, message in [
+        ({"workers": 0}, "workers must be >= 1"),
+        ({"shots": -1}, "shots must be >= 0"),
+        ({"session_params": {"max_iterations": 0}}, "invalid session template: max_iterations must be >= 1"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            manifest._replace(**changes)
+    settings = BackendSettings()
+    assert settings == BackendSettings(mode="live") != BackendSettings(mode="live", rpm=5)
+    with pytest.raises(AttributeError):
+        settings.mode = "replay"
+    for changes, message in [
+        ({"mode": "mystery"}, "backend mode must be one of"),
+        ({"mode": "scripted"}, "scripted mode requires a script path"),
+        ({"mode": "replay"}, "replay mode requires a cache path"),
+    ]:
+        for make in (lambda: BackendSettings(**changes), lambda: settings._replace(**changes)):
+            with pytest.raises(ConfigError, match=f"^{message}"):
+                make()
+
+
 def _script_with_wrong_schema(tmp_path, manifest):
     (tmp_path / "script.json").write_text(json.dumps({"schema": "other", "steps": []}), encoding="utf-8")
 
@@ -1116,10 +1146,12 @@ def test_a_scripted_run_over_a_cache_cut_short_matches_the_uninterrupted_run(run
         assert records(tmp_path / "resumed" / "traces" / name) == records(tmp_path / "out" / "traces" / name)
 
 
-@pytest.mark.parametrize("bad_id", ["doc\0nul", "d" * 250], ids=["nul", "too-long-for-a-file-name"])
+@pytest.mark.parametrize(
+    "bad_id", ["doc\0nul", "d" * 250, "doc\ud800"], ids=["nul", "too-long-for-a-file-name", "lone-surrogate"]
+)
 def test_run_exp_refuses_an_id_that_cannot_name_a_trace_before_any_call(runner, tmp_path, bad_id):
     records = make_corpus_file(tmp_path / "corpus.jsonl", 3)
-    records.append(dataclasses.replace(records[0], id=bad_id))
+    records.append(records[0]._replace(id=bad_id))
     write_corpus(records, tmp_path / "corpus.jsonl")
     result = runner.invoke(main, ["run-exp", str(make_manifest(tmp_path, n=4, corpus_records=records))])
     assert result.exit_code == EXIT_CONFIG, result.output
@@ -1304,6 +1336,21 @@ def test_importing_the_experiment_runner_leaves_yaml_unloaded():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_importing_summit_generates_no_dataclass():
+    # A dataclass writes and compiles its methods as its module is imported, and
+    # dataclasses itself imports inspect, ast and dis.
+    code = "import sys, summit.experiment\nsys.exit('dataclasses' in sys.modules)\n"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    package = Path(experiment.__file__).parent
+    importers = [
+        path.name
+        for path in sorted(package.rglob("*.py"))
+        if re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(encoding="utf-8"), re.MULTILINE)
+    ]
+    assert importers == []
 
 
 def test_one_worker_commands_leave_logging_unloaded(tmp_path):

@@ -86,10 +86,17 @@ def test_dedup_keeps_first_and_is_idempotent():
 
 
 def test_triplet_field_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^triplet fields must be non-empty$"):
         Triplet(" ", "likes", "b")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^confidence must be in \[0, 1\]$"):
         Triplet("a", "likes", "b", confidence=1.5)
+    triplet = Triplet("a", "likes", "b", confidence=0.5)
+    assert triplet == Triplet(subject="a", relation="likes", object="b", confidence=0.5)
+    assert triplet != Triplet("a", "likes", "b")
+    with pytest.raises(AttributeError):
+        triplet.subject = "c"
+    with pytest.raises(ValueError, match="^confidence must be"):
+        triplet._replace(confidence=2.0)
 
 
 def test_render_single():

@@ -84,8 +84,15 @@ target_texts = (
     target=target_texts,
 )
 def test_round_trip_property(kind, target):
-    op = EditOp(kind, target if kind in (EditKind.ADD, EditKind.REMOVE, EditKind.REPHRASE) else None)
+    targeted = kind in (EditKind.ADD, EditKind.REMOVE, EditKind.REPHRASE)
+    op = EditOp(kind, target if targeted else None)
     assert parse_edit_ops(render_edit_op(op)) == [op]
+    # An op compares by value, is immutable, and refuses a missing or an extra target.
+    assert op == EditOp(kind=op.kind, target=op.target)
+    with pytest.raises(AttributeError):
+        op.kind = kind
+    with pytest.raises(ValueError, match=f"^{kind.value} (requires a non-empty target|carries no target)$"):
+        EditOp(kind, " " if targeted else target)
 
 
 @given(st.text(max_size=300))

@@ -30,6 +30,7 @@ from summit.types import (
     SessionConfig,
     Setting,
     StopReason,
+    Summary,
     SummaryOrigin,
 )
 
@@ -169,8 +170,48 @@ def test_control_setting_threads_topic(registry):
 
 
 def test_control_without_topic_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^control setting requires a topic_query$"):
         SessionConfig(setting=Setting.CONTROL)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"max_iterations": 0}, "max_iterations must be >= 1"),
+        ({"temperature": -0.1}, "temperature must be >= 0"),
+        ({"max_output_tokens": 0}, "max_output_tokens must be positive"),
+        ({"stop_marker": ""}, "stop_marker must be non-empty"),
+        ({"token_budget": 0}, "token_budget must be positive when set"),
+    ],
+    ids=["max_iterations", "temperature", "max_output_tokens", "stop_marker", "token_budget"],
+)
+def test_session_config_compares_by_value_and_checks_each_value(values, message):
+    config = SessionConfig(max_iterations=3)
+    assert config == SessionConfig(max_iterations=3) != SessionConfig()
+    with pytest.raises(AttributeError):
+        config.max_iterations = 4
+    for make in (lambda: SessionConfig(**values), lambda: config._replace(**values)):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            make()
+
+
+def test_documents_and_summaries_compare_by_value_and_check_their_values():
+    assert DOC == Document(DOC.id, DOC.text) != Document(DOC.id, "Other text.")
+    with pytest.raises(ValueError, match="^document text is empty$"):
+        Document("empty", " ")
+    draft = Summary("Draft.", 0, SummaryOrigin.INITIAL)
+    assert draft == Summary(text="Draft.", iteration=0, origin=SummaryOrigin.INITIAL)
+    assert draft != Summary("Draft.", 1, SummaryOrigin.UNCHANGED)
+    with pytest.raises(ValueError, match="^iteration must be non-negative$"):
+        Summary("Draft.", -1, SummaryOrigin.REFINED)
+    for iteration, origin in ((0, SummaryOrigin.REFINED), (1, SummaryOrigin.INITIAL)):
+        with pytest.raises(ValueError, match="^iteration 0 exactly when origin is INITIAL$"):
+            Summary("Draft.", iteration, origin)
+    with pytest.raises(ValueError, match="^iteration 0 exactly"):
+        draft._replace(iteration=1)
+    for record, field in ((DOC, "text"), (draft, "text")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, "changed")
 
 
 def test_faithfulness_setting_renders_triplets_for_both_roles(registry):
