@@ -473,7 +473,10 @@ class ReplayBackend:
 # --- construction -------------------------------------------------------------
 
 
-class _BackendSettings(NamedTuple):
+class BackendSettings(NamedTuple):
+    """Where completions come from. ``model`` is the model id sessions
+    request; every source of backend settings can set it."""
+
     mode: str = "live"
     script: Path | None = None
     cache: Path | None = None
@@ -484,16 +487,9 @@ class _BackendSettings(NamedTuple):
     timeout: float = DEFAULT_TIMEOUT
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
 
-
-class BackendSettings(_BackendSettings):
-    """Where completions come from. ``model`` is the model id sessions
-    request; every source of backend settings can set it. A copy made with
-    ``_replace`` is checked as a new one is."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def check(self) -> BackendSettings:
+        """These settings, unless the mode is unknown or lacks the file it
+        reads (ConfigError)."""
         if self.mode not in BACKEND_MODES:
             raise ConfigError(f"backend mode must be one of {BACKEND_MODES}")
         if self.mode == "scripted" and self.script is None:
@@ -501,9 +497,6 @@ class BackendSettings(_BackendSettings):
         if self.mode == "replay" and self.cache is None:
             raise ConfigError("replay mode requires a cache path")
         return self
-
-    def _replace(self, **changes) -> BackendSettings:
-        return BackendSettings(**{**self._asdict(), **changes})
 
 
 def backend_factory(settings: BackendSettings, cache: ResponseCache | None) -> Callable[[], CompletionBackend]:

@@ -117,7 +117,7 @@ def summarize(
         stop_marker=stop_marker,
         strict_parsing=strict,
         token_budget=token_budget,
-    )
+    ).check()
     document = Document(id=doc_id or (Path(doc).stem if doc else "stdin"), text=text)
     if trace_out:
         Path(trace_out).parent.mkdir(parents=True, exist_ok=True)  # before any call is paid for

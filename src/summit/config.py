@@ -109,7 +109,7 @@ def resolve_settings(*sources: Mapping) -> BackendSettings:
     values = {}
     for source in reversed(sources):
         values.update(params_of(BackendSettings, source))
-    return BackendSettings(**values)
+    return BackendSettings(**values).check()
 
 
 def resolve_backend_settings(file_config: dict, **flags) -> BackendSettings:

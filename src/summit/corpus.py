@@ -38,25 +38,18 @@ class DatasetRecord(NamedTuple):
     topics: tuple[str, ...] = ()
 
 
-class _SampleSpec(NamedTuple):
+class SampleSpec(NamedTuple):
+    """The sample a run takes (see ``sample``); ``n`` must be positive."""
+
     n: int
     seed: int
     split: Split = Split.TEST
 
-
-class SampleSpec(_SampleSpec):
-    """The sample a run takes (see ``sample``); ``n`` must be positive."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, seed: int, *args, **kwargs):
-        self = super().__new__(cls, n, seed, *args, **kwargs)
+    def check(self) -> SampleSpec:
+        """This spec, unless ``n`` is below 1 (ValueError)."""
         if self.n < 1:
             raise ValueError("sample size must be positive")
         return self
-
-    def _replace(self, **changes) -> SampleSpec:
-        return SampleSpec(**{**self._asdict(), **changes})
 
 
 class LoadResult(NamedTuple):

@@ -39,7 +39,14 @@ CALLS_HEADER = {"schema": "summit/calls", "version": 1}
 _SESSION_DEFAULTS = {k: v for k, v in SessionConfig._field_defaults.items() if k != "exemplars"}
 
 
-class _RunManifest(NamedTuple):
+class RunManifest(NamedTuple):
+    """A run description. ``session_params`` holds SessionConfig keyword
+    arguments for one SessionConfig per document (control runs take the
+    topic from each record unless the manifest pins one). ``KEYS`` names
+    each field's place in the manifest JSON; its type and default give the
+    rest.
+    """
+
     name: str
     corpus_path: Path
     sample: SampleSpec
@@ -55,17 +62,6 @@ class _RunManifest(NamedTuple):
     knowledge_fallback: bool = True
     faithfulness_endpoint: str | None = None
     prompts_dir: Path | None = None
-
-
-class RunManifest(_RunManifest):
-    """A run description. ``session_params`` holds SessionConfig keyword
-    arguments for one SessionConfig per document (control runs take the
-    topic from each record unless the manifest pins one). ``KEYS`` names
-    each field's place in the manifest JSON; its type and default give the
-    rest. A copy made with ``_replace`` is checked as a new one is.
-    """
-
-    __slots__ = ()
 
     #: Each field's key in the manifest JSON: "section.name" or a top-level name.
     KEYS = {
@@ -86,24 +82,22 @@ class RunManifest(_RunManifest):
         "prompts_dir": "prompts.dir",
     }
 
-    def __new__(
-        cls, name: str, corpus_path: Path, sample: SampleSpec, session_params: dict, output_dir: Path, *args, **kwargs
-    ):
-        self = super().__new__(cls, name, corpus_path, sample, session_params, output_dir, *args, **kwargs)
+    def check(self) -> RunManifest:
+        """This manifest, unless its sample (ValueError), its backend, its
+        worker or shot count, or its session template (ConfigError) is out of
+        range. A control run's template is checked with a placeholder topic,
+        since each record may give its own."""
+        self.sample.check()
+        self.backend.check()
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.shots < 0:
             raise ConfigError("shots must be >= 0")
-        # Validate the non-topic template knobs early; control runs may defer
-        # the topic itself to per-record data.
         try:
-            self.session_for(topic="probe" if self.setting is Setting.CONTROL else None)
+            self.session_for(topic="probe" if self.setting is Setting.CONTROL else None).check()
         except ConfigError as exc:
             raise ConfigError(f"invalid session template: {exc}") from exc
         return self
-
-    def _replace(self, **changes) -> RunManifest:
-        return RunManifest(**{**self._asdict(), **changes})
 
     def _param(self, name: str):
         return self.session_params.get(name, SessionConfig._field_defaults[name])
@@ -155,7 +149,7 @@ class RunManifest(_RunManifest):
                     values[field] = params_of(SessionConfig, mapping(data.get(key), key))
                 elif is_set(source.get(key)):
                     values[field] = coerce(hints[field], source[key], path.parent, key)
-            return cls(**values)
+            return cls(**values).check()
         except (AttributeError, KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"invalid manifest {path}: {exc}") from exc
 
@@ -342,7 +336,7 @@ def run_experiment(
     The emitted manifest is written before the first session and each
     document's trace as soon as its session ends; stats.json and calls.json
     are written once every document is done."""
-    manifest = manifest.resolved()
+    manifest = manifest.check().resolved()
     prompts, exemplars, factory, extractor, cache = build_parts(
         manifest.backend, manifest.prompts_dir, manifest.exemplars_path, manifest.shots,
         manifest.knowledge_endpoint, manifest.knowledge_fallback,

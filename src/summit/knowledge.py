@@ -35,28 +35,13 @@ _PARTICLES = {
 }
 
 
-class _Triplet(NamedTuple):
+class Triplet(NamedTuple):
+    """A (subject, relation, object) fact with an optional confidence in [0, 1]."""
+
     subject: str
     relation: str
     object: str
     confidence: float | None = None
-
-
-class Triplet(_Triplet):
-    """A (subject, relation, object) fact with an optional confidence in [0, 1]."""
-
-    __slots__ = ()
-
-    def __new__(cls, subject: str, relation: str, object: str, *args, **kwargs):
-        self = super().__new__(cls, subject, relation, object, *args, **kwargs)
-        if not (self.subject.strip() and self.relation.strip() and self.object.strip()):
-            raise ValueError("triplet fields must be non-empty")
-        if self.confidence is not None and not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence must be in [0, 1]")
-        return self
-
-    def _replace(self, **changes) -> Triplet:
-        return Triplet(**{**self._asdict(), **changes})
 
 
 class TripletExtractor(Protocol):
@@ -149,7 +134,11 @@ class RemoteExtractor:
 
     POSTs the raw text (text/plain) and expects the common response shape:
     ``{"sentences": [{"openie": [{"subject", "relation", "object",
-    "confidence"?}]}]}``.
+    "confidence"?}]}]}``. A payload that is not an object, or whose
+    ``sentences`` or ``openie`` is not a list of objects, is
+    RemoteUnavailable. A triple is skipped unless its subject, relation and
+    object are non-empty strings and its confidence, when given, is a number
+    (not a bool) in [0, 1].
     """
 
     def __init__(self, endpoint: str, timeout: float = DEFAULT_CONNECT_TIMEOUT, session=None):
@@ -175,21 +164,26 @@ class RemoteExtractor:
             payload = resp.json()
         except ValueError as exc:
             raise RemoteUnavailable(f"annotation server returned non-JSON body: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise RemoteUnavailable(f"annotation server returned {type(payload).__name__}, not an object")
         triplets = []
-        for sentence in payload.get("sentences", []):
-            for triple in sentence.get("openie", []):
-                try:
-                    triplets.append(
-                        Triplet(
-                            subject=triple["subject"],
-                            relation=triple["relation"],
-                            object=triple["object"],
-                            confidence=triple.get("confidence"),
-                        )
-                    )
-                except (KeyError, ValueError):
-                    continue
+        for sentence in _objects(payload.get("sentences", []), "sentences"):
+            for triple in _objects(sentence.get("openie", []), "openie"):
+                fields = [triple.get(key) for key in ("subject", "relation", "object")]
+                confidence = triple.get("confidence")
+                if all(isinstance(field, str) and field.strip() for field in fields) and (
+                    confidence is None or (type(confidence) in (int, float) and 0.0 <= confidence <= 1.0)
+                ):
+                    triplets.append(Triplet(*fields, confidence))
         return triplets
+
+
+def _objects(value, key: str) -> list[dict]:
+    """``value``, the ``key`` of a server payload, unless it is not a list
+    of objects (RemoteUnavailable)."""
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise RemoteUnavailable(f"annotation server returned {key} that is not a list of objects")
+    return value
 
 
 class FallbackExtractor:

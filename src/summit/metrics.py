@@ -181,7 +181,8 @@ class FaithfulnessScorer:
 
     Wire shape: POST ``{"document": ..., "summary": ...}`` as JSON to the
     configured endpoint; the response body is either a bare JSON number or
-    ``{"score": <number>}``, a real in [0, 1].
+    ``{"score": <number>}``, an int or float (not a bool) in [0, 1];
+    anything else is RemoteUnavailable.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0, session=None):
@@ -207,6 +208,6 @@ class FaithfulnessScorer:
         except ValueError as exc:
             raise RemoteUnavailable(f"faithfulness endpoint returned non-JSON body: {exc}") from exc
         value = body.get("score") if isinstance(body, dict) else body
-        if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
+        if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
             raise RemoteUnavailable(f"faithfulness score out of range or missing: {value!r}")
         return float(value)

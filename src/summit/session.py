@@ -135,7 +135,9 @@ def run_session(
     """Run one full refinement session and return its trace.
 
     Tokens and calls are tallied into ``usage`` when the caller passes one,
-    so they stay readable when the session raises."""
+    so they stay readable when the session raises. A ``config`` value out of
+    range is a ConfigError before any call."""
+    config.check()
     if usage is None:
         usage = Usage()
     base = _base_context(doc, config, extractor)

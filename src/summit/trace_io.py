@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigError, read_json_lines
-from .types import EditKind, EditOp, SessionTrace, StopReason
+from .types import TARGETED_KINDS, EditKind, EditOp, SessionTrace, StopReason
 
 TRACE_HEADER = {"schema": "summit/trace", "version": 1}
 
@@ -62,6 +62,18 @@ def write_trace(trace: SessionTrace, path: str | Path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
 
+def _edit_op(raw: dict) -> EditOp:
+    """The edit op a trace record holds; ValueError unless a kind in
+    ``TARGETED_KINDS`` has a non-empty target and any other kind none."""
+    op = EditOp(EditKind(raw["kind"]), raw.get("target"))
+    if op.kind in TARGETED_KINDS:
+        if not op.target or not op.target.strip():
+            raise ValueError(f"{op.kind.value} requires a non-empty target")
+    elif op.target is not None:
+        raise ValueError(f"{op.kind.value} carries no target")
+    return op
+
+
 def read_trace(path: str | Path) -> list[TraceRecord]:
     """The records of the trace file ``path``; ConfigError naming the file,
     or its line, unless it holds a trace header and one or more records."""
@@ -74,10 +86,7 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
                     iteration=raw["iteration"],
                     summary_text=raw["summary_text"],
                     feedback_raw=raw["feedback_raw"],
-                    edit_ops=tuple(
-                        EditOp(EditKind(op["kind"]), op.get("target"))
-                        for op in raw["edit_ops"]
-                    ),
+                    edit_ops=tuple(map(_edit_op, raw["edit_ops"])),
                     expected_score=raw["expected_score"],
                     stopped_by=StopReason(raw["stopped_by"]),
                     usage=raw["usage"],

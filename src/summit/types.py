@@ -70,77 +70,28 @@ def token_counts(usage) -> tuple[int, int]:
     return counts
 
 
-# Immutable records are NamedTuples. One that checks its values is a subclass of
-# a NamedTuple of its fields (typing.NamedTuple takes no ``__new__`` of its
-# own): its ``__new__`` names the fields without a default and checks the
-# built tuple, and its ``_replace`` builds the copy through ``__new__``, so
-# a copy is checked too.
+class EditOp(NamedTuple):
+    """One revision command parsed from evaluator feedback: a kind in
+    ``TARGETED_KINDS`` carries a non-empty target, any other kind none."""
 
-
-class _EditOp(NamedTuple):
     kind: EditKind
     target: str | None = None
 
 
-class EditOp(_EditOp):
-    """One revision command parsed from evaluator feedback."""
+class Document(NamedTuple):
+    """A source text to summarize."""
 
-    __slots__ = ()
-
-    def __new__(cls, kind: EditKind, *args, **kwargs):
-        self = super().__new__(cls, kind, *args, **kwargs)
-        if self.kind in TARGETED_KINDS:
-            if not self.target or not self.target.strip():
-                raise ValueError(f"{self.kind.value} requires a non-empty target")
-        elif self.target is not None:
-            raise ValueError(f"{self.kind.value} carries no target")
-        return self
-
-    def _replace(self, **changes) -> EditOp:
-        return EditOp(**{**self._asdict(), **changes})
-
-
-class _Document(NamedTuple):
     id: str
     text: str
 
 
-class Document(_Document):
-    """A source text to summarize."""
+class Summary(NamedTuple):
+    """A candidate summary at one iteration of the loop; iteration 0 is the
+    INITIAL draft."""
 
-    __slots__ = ()
-
-    def __new__(cls, id: str, text: str):
-        self = super().__new__(cls, id, text)
-        if not self.text.strip():
-            raise ValueError("document text is empty")
-        return self
-
-    def _replace(self, **changes) -> Document:
-        return Document(**{**self._asdict(), **changes})
-
-
-class _Summary(NamedTuple):
     text: str
     iteration: int
     origin: SummaryOrigin
-
-
-class Summary(_Summary):
-    """A candidate summary at one iteration of the loop."""
-
-    __slots__ = ()
-
-    def __new__(cls, text: str, iteration: int, origin: SummaryOrigin):
-        self = super().__new__(cls, text, iteration, origin)
-        if self.iteration < 0:
-            raise ValueError("iteration must be non-negative")
-        if (self.iteration == 0) != (self.origin is SummaryOrigin.INITIAL):
-            raise ValueError("iteration 0 exactly when origin is INITIAL")
-        return self
-
-    def _replace(self, **changes) -> Summary:
-        return Summary(**{**self._asdict(), **changes})
 
 
 class Feedback(NamedTuple):
@@ -166,7 +117,10 @@ class Exemplar(NamedTuple):
     explanation: str | None = None
 
 
-class _SessionConfig(NamedTuple):
+class SessionConfig(NamedTuple):
+    """Everything a refinement session needs beyond the document itself.
+    The defaults are ``SessionConfig._field_defaults``."""
+
     model_id: str = "default"
     setting: Setting = Setting.QUALITY
     max_iterations: int = 5
@@ -179,15 +133,8 @@ class _SessionConfig(NamedTuple):
     min_document_tokens: int = 10
     token_budget: int | None = None
 
-
-class SessionConfig(_SessionConfig):
-    """Everything a refinement session needs beyond the document itself.
-    The defaults are ``SessionConfig._field_defaults``."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def check(self) -> SessionConfig:
+        """This config, unless a value is out of range (ConfigError)."""
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
         if self.setting is Setting.CONTROL and not (self.topic_query or "").strip():
@@ -201,9 +148,6 @@ class SessionConfig(_SessionConfig):
         if self.token_budget is not None and self.token_budget < 1:
             raise ConfigError("token_budget must be positive when set")
         return self
-
-    def _replace(self, **changes) -> SessionConfig:
-        return SessionConfig(**{**self._asdict(), **changes})
 
 
 class Usage:

@@ -871,25 +871,33 @@ def test_manifests_and_backend_settings_compare_by_value_and_check_their_copies(
     assert manifest._replace(workers=1) != manifest and manifest._replace(workers=1).workers == 1
     with pytest.raises(AttributeError):
         manifest.workers = 1
+    assert manifest.check() is manifest
+    # A copy checks nothing until its check, which run_experiment calls first.
     for changes, message in [
         ({"workers": 0}, "workers must be >= 1"),
         ({"shots": -1}, "shots must be >= 0"),
         ({"session_params": {"max_iterations": 0}}, "invalid session template: max_iterations must be >= 1"),
+        ({"backend": manifest.backend._replace(mode="replay", cache=None)}, "replay mode requires a cache path"),
     ]:
-        with pytest.raises(ConfigError, match=f"^{message}$"):
-            manifest._replace(**changes)
+        for check in (manifest._replace(**changes).check, lambda: run_experiment(manifest._replace(**changes))):
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                check()
+    with pytest.raises(ValueError, match="^sample size must be positive$"):
+        manifest._replace(sample=manifest.sample._replace(n=0)).check()
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cache.jsonl").exists()
     settings = BackendSettings()
     assert settings == BackendSettings(mode="live") != BackendSettings(mode="live", rpm=5)
     with pytest.raises(AttributeError):
         settings.mode = "replay"
+    assert settings.check() is settings
     for changes, message in [
         ({"mode": "mystery"}, "backend mode must be one of"),
         ({"mode": "scripted"}, "scripted mode requires a script path"),
         ({"mode": "replay"}, "replay mode requires a cache path"),
     ]:
-        for make in (lambda: BackendSettings(**changes), lambda: settings._replace(**changes)):
+        for unchecked in (BackendSettings(**changes), settings._replace(**changes)):
             with pytest.raises(ConfigError, match=f"^{message}"):
-                make()
+                unchecked.check()
 
 
 def _script_with_wrong_schema(tmp_path, manifest):
@@ -1062,6 +1070,49 @@ def test_malformed_inputs_exit_with_config_error(runner, tmp_path, command, brea
     assert isinstance(result.exception, SystemExit)  # an error line, not a traceback
     assert "error: " in result.output and message in result.output
     assert not (tmp_path / "out").exists()  # refused before any output
+
+
+@pytest.mark.parametrize(
+    "command, flags, section, changes, message",
+    [
+        ("summarize", ["--max-iters", "0"], None, None, "error: max_iterations must be >= 1"),
+        ("summarize", ["--temperature", "-0.1"], None, None, "error: temperature must be >= 0"),
+        ("summarize", ["--max-output-tokens", "0"], None, None, "error: max_output_tokens must be positive"),
+        ("summarize", ["--stop-marker", ""], None, None, "error: stop_marker must be non-empty"),
+        ("summarize", ["--token-budget", "0"], None, None, "error: token_budget must be positive when set"),
+        ("summarize", ["--setting", "control", "--topic", " "], None, None, "error: control setting requires a topic_query"),
+        ("run-exp", [], "sample", {"n": 0}, "sample size must be positive"),
+        ("run-exp", [], "backend", {"mode": "mystery"}, "error: backend mode must be one of"),
+        ("run-exp", [], "backend", {"script": None}, "error: scripted mode requires a script path"),
+        ("run-exp", [], "session", {"max_iterations": 0},
+         "error: invalid session template: max_iterations must be >= 1"),
+        ("replay", [], "backend", {"cache": None}, "error: replay mode requires a cache path"),
+    ],
+    ids=[
+        "max-iters-0", "temperature-negative", "max-output-tokens-0", "stop-marker-empty", "token-budget-0",
+        "topic-blank", "sample-n-0", "backend-mode-unknown", "scripted-without-script",
+        "session-max-iterations-0", "replay-manifest-without-cache",
+    ],
+)
+def test_out_of_range_settings_exit_with_config_error_before_any_file(
+    runner, tmp_path, command, flags, section, changes, message
+):
+    path = make_manifest(tmp_path, n=2)
+    if section is not None:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest[section].update(changes)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+    if command == "summarize":
+        args = ["summarize", "--doc", str(write_doc(tmp_path)), "--backend", "scripted"]
+        args += ["--script", str(tmp_path / "script.json"), "--cache", str(tmp_path / "cache.jsonl")]
+        args += ["--trace-out", str(tmp_path / "out" / "trace.jsonl"), *flags]
+    else:
+        args = [command, str(path), *flags]
+    result = runner.invoke(main, args)
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert isinstance(result.exception, SystemExit)  # an error line, not a traceback
+    assert result.output.count("error: ") == 1 and message in result.output
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cache.jsonl").exists()
 
 
 def test_summarize_refuses_a_negative_shot_count(runner, tmp_path):

@@ -143,13 +143,15 @@ def test_sample_deterministic():
     records = make_records(50)
     spec = SampleSpec(n=20, seed=99, split=Split.TEST)
     assert [r.id for r in sample(records, spec)] == [r.id for r in sample(records, spec)]
-    # A spec compares by value (the split defaults to test), is immutable and needs n >= 1.
+    # A spec compares by value (the split defaults to test), is immutable, and
+    # its check (not its constructor) needs n >= 1.
     assert spec == SampleSpec(20, 99) != SampleSpec(20, 99, Split.DEV)
     with pytest.raises(AttributeError):
         spec.n = 5
-    for make in (lambda: SampleSpec(n=0, seed=99), lambda: spec._replace(n=0)):
+    assert spec.check() is spec
+    for unchecked in (SampleSpec(n=0, seed=99), spec._replace(n=0)):
         with pytest.raises(ValueError, match="^sample size must be positive$"):
-            make()
+            unchecked.check()
 
 
 def test_different_seeds_differ():

@@ -86,17 +86,16 @@ def test_dedup_keeps_first_and_is_idempotent():
 
 
 def test_triplet_field_invariants():
-    with pytest.raises(ValueError, match="^triplet fields must be non-empty$"):
-        Triplet(" ", "likes", "b")
-    with pytest.raises(ValueError, match=r"^confidence must be in \[0, 1\]$"):
-        Triplet("a", "likes", "b", confidence=1.5)
+    # A Triplet checks nothing itself: the remote extractor, where outside
+    # triples enter, skips one with an empty field or a confidence outside [0, 1].
+    good = {"subject": "a", "relation": "likes", "object": "b", "confidence": 0.5}
+    body = {"sentences": [{"openie": [{**good, "subject": " "}, {**good, "confidence": 1.5}, good]}]}
     triplet = Triplet("a", "likes", "b", confidence=0.5)
+    assert RemoteExtractor("http://annotate", session=_StubSession((200, body))).extract("text") == [triplet]
     assert triplet == Triplet(subject="a", relation="likes", object="b", confidence=0.5)
     assert triplet != Triplet("a", "likes", "b")
     with pytest.raises(AttributeError):
         triplet.subject = "c"
-    with pytest.raises(ValueError, match="^confidence must be"):
-        triplet._replace(confidence=2.0)
 
 
 def test_render_single():
@@ -162,6 +161,47 @@ def test_remote_extractor_parses_server_shape():
         Triplet("Obiang", "joined", "Sampdoria", confidence=0.93),
         Triplet("club", "sits", "fifth"),
     ]
+
+
+_TRIPLE = {"subject": "a", "relation": "r", "object": "b"}
+
+
+def _openie(*triples) -> dict:
+    return {"sentences": [{"openie": list(triples)}]}
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        ([1], RemoteUnavailable),
+        ("text", RemoteUnavailable),
+        ({"sentences": 3}, RemoteUnavailable),
+        ({"sentences": [3]}, RemoteUnavailable),
+        ({"sentences": [{"openie": _TRIPLE}]}, RemoteUnavailable),
+        (_openie(3), RemoteUnavailable),
+        (_openie({**_TRIPLE, "subject": 5}, _TRIPLE), [Triplet("a", "r", "b")]),
+        (_openie({**_TRIPLE, "relation": None}, _TRIPLE), [Triplet("a", "r", "b")]),
+        (_openie({**_TRIPLE, "object": ["b"]}, _TRIPLE), [Triplet("a", "r", "b")]),
+        (_openie({**_TRIPLE, "confidence": "x"}, _TRIPLE), [Triplet("a", "r", "b")]),
+        (_openie({**_TRIPLE, "confidence": True}, _TRIPLE), [Triplet("a", "r", "b")]),
+        (_openie({**_TRIPLE, "confidence": [0.5]}, _TRIPLE), [Triplet("a", "r", "b")]),
+    ],
+    ids=[
+        "payload-a-list", "payload-a-string", "sentences-a-number", "sentence-a-number",
+        "openie-an-object", "triple-a-number", "subject-a-number", "relation-null",
+        "object-a-list", "confidence-a-string", "confidence-a-bool", "confidence-a-list",
+    ],
+)
+def test_remote_extractor_refuses_a_payload_of_the_wrong_shape_and_skips_a_bad_triple(body, expected):
+    extractor = RemoteExtractor("http://annotate", session=_StubSession((200, body)))
+    if expected is not RemoteUnavailable:
+        assert extractor.extract("text") == expected
+        return
+    with pytest.raises(RemoteUnavailable, match="^annotation server returned "):
+        extractor.extract("text")
+    # Behind the fallback the naive extractor answers, as for an unreachable server.
+    naive = [Triplet("Obiang", "joined", "Sampdoria in 2010", confidence=0.5)]
+    assert FallbackExtractor(extractor).extract("Obiang joined Sampdoria in 2010.") == naive
 
 
 def test_remote_extractor_without_a_session_posts_through_requests(monkeypatch):

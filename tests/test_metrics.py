@@ -367,7 +367,9 @@ def test_faithfulness_unreachable():
 
 
 def test_faithfulness_rejects_out_of_range():
-    scorer = FaithfulnessScorer("http://scorer", session=_StubSession([(200, {"score": 1.4})]))
-    with pytest.raises(RemoteUnavailable):
-        scorer.score("doc", "sum")
+    # A bool is no score, as it is no token count, though Python makes it an int.
+    for body in ({"score": 1.4}, {"score": True}, False):
+        scorer = FaithfulnessScorer("http://scorer", session=_StubSession([(200, body)]))
+        with pytest.raises(RemoteUnavailable, match="^faithfulness score out of range or missing: "):
+            scorer.score("doc", "sum")
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -74,3 +75,21 @@ def test_write_is_deterministic(tmp_path, trace):
     write_trace(trace, a)
     write_trace(trace, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "op, message",
+    [({"kind": kind, "target": " "}, f"{kind} requires a non-empty target") for kind in ("add", "remove", "rephrase")]
+    + [({"kind": kind, "target": "x"}, f"{kind} carries no target") for kind in ("simplify", "keep")],
+    ids=["add-blank", "remove-blank", "rephrase-blank", "simplify-target", "keep-target"],
+)
+def test_an_edit_op_that_breaks_the_target_rule_names_its_line(tmp_path, trace, op, message):
+    path = tmp_path / "trace.jsonl"
+    write_trace(trace, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[2])
+    record["edit_ops"] = [{"kind": "add", "target": "the date"}, op]
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3 is not a trace record: .*{message}"):
+        read_trace(path)
