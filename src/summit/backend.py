@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import re
 import time
-from functools import cached_property
+from functools import cached_property, partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol
@@ -80,9 +81,6 @@ class ChatMessage:
 
     def __repr__(self) -> str:
         return f"ChatMessage(role={self.role!r}, content={self.content!r})"
-
-    def to_wire(self) -> dict:
-        return {"role": self.role.value, "content": self.content}
 
     @cached_property
     def tokens(self) -> int:
@@ -269,80 +267,82 @@ def estimate_tokens(text: str) -> int:
 
 # --- live client -----------------------------------------------------------
 
-#: transport(url, headers, payload, timeout) -> (status_code, body_text)
-Transport = Callable[[str, dict, dict, float], tuple[int, str]]
+#: transport(url, headers, data, timeout) -> (HTTP status, body text)
+Transport = Callable[[str, dict, bytes, float], tuple[int, str]]
 
 
-def _requests_transport(url: str, headers: dict, payload: dict, timeout: float) -> tuple[int, str]:
+def requests_transport(url: str, headers: dict, data: bytes, timeout: float) -> tuple[int, str]:
     import requests  # here, so that offline runs do not pay for importing it
 
-    resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
+    resp = requests.post(url, headers=headers, data=data, timeout=timeout)
     return resp.status_code, resp.text
+
+
+def post_json(
+    url: str, data: bytes, headers: dict, *, name: str, timeout: float, max_attempts: int,
+    transport: Transport, sleep: Callable[[float], None], limiter: RateLimiter | None = None,
+):
+    """POST ``data`` to ``url`` and return the reply's JSON value, by the one
+    status rule of every remote: 200 is decoded (TransportError naming the
+    ``name`` response if it is not JSON); 401/403 is AuthError; 429, 5xx and
+    a transport exception are retried with exponential backoff, and are a
+    TransportError once ``max_attempts`` attempts fail; any other status is
+    TransportError at once."""
+    last_error = ""
+    for attempt in range(1, max_attempts + 1):
+        if limiter is not None:
+            limiter.acquire()
+        try:
+            status, body = transport(url, dict(headers), data, timeout)
+        except Exception as exc:
+            last_error = f"transport failure: {exc}"
+        else:
+            if status == 200:
+                try:
+                    return json.loads(body)
+                except (ValueError, RecursionError) as exc:
+                    raise TransportError(f"malformed {name} response: {exc}") from exc
+            if status in (401, 403):
+                raise AuthError(f"authentication rejected (HTTP {status})")
+            if status != 429 and status < 500:
+                raise TransportError(f"HTTP {status}: {body[:200]}")
+            last_error = f"HTTP {status}"
+        if attempt < max_attempts:
+            sleep(min(_BACKOFF_BASE * 2 ** (attempt - 1), _BACKOFF_CAP))
+    raise TransportError(f"{last_error} after {max_attempts} attempts")
 
 
 class HttpBackend:
     """Live client with bounded exponential-backoff retries and throttling."""
 
     def __init__(
-        self,
-        base_url: str,
-        api_key: str = "",
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        timeout: float = DEFAULT_TIMEOUT,
-        limiter: RateLimiter | None = None,
-        transport: Transport = _requests_transport,
-        sleep: Callable[[float], None] = time.sleep,
+        self, base_url: str, api_key: str = "", max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+        timeout: float = DEFAULT_TIMEOUT, limiter: RateLimiter | None = None,
+        transport: Transport = requests_transport, sleep: Callable[[float], None] = time.sleep,
     ):
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        self.url = base_url.rstrip("/") + "/chat/completions"
-        self._headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json"}
         if api_key:
-            self._headers["Authorization"] = f"Bearer {api_key}"
-        self.max_attempts = max_attempts
-        self.timeout = timeout
-        self._limiter = limiter
-        self._transport = transport
-        self._sleep = sleep
+            headers["Authorization"] = f"Bearer {api_key}"
+        self._post = partial(
+            post_json, base_url.rstrip("/") + "/chat/completions", headers=headers, name="completion",
+            timeout=timeout, max_attempts=max_attempts, transport=transport, sleep=sleep, limiter=limiter,
+        )
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         payload = {
             "model": request.model_id,
-            "messages": [m.to_wire() for m in request.messages],
+            "messages": [{"role": m.role.value, "content": m.content} for m in request.messages],
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }
-        last_error = ""
-        for attempt in range(1, self.max_attempts + 1):
-            if self._limiter is not None:
-                self._limiter.acquire()
-            try:
-                status, body = self._transport(self.url, dict(self._headers), payload, self.timeout)
-            except Exception as exc:
-                last_error = f"transport failure: {exc}"
-                status = None
-            else:
-                if status == 200:
-                    return self._parse_body(body)
-                if status in (401, 403):
-                    raise AuthError(f"authentication rejected (HTTP {status})")
-                if status == 429 or status >= 500:
-                    last_error = f"HTTP {status}"
-                else:
-                    raise TransportError(f"HTTP {status}: {body[:200]}")
-            if attempt < self.max_attempts:
-                self._sleep(min(_BACKOFF_BASE * 2 ** (attempt - 1), _BACKOFF_CAP))
-        raise TransportError(f"{last_error} after {self.max_attempts} attempts")
-
-    @staticmethod
-    def _parse_body(body: str) -> CompletionResponse:
+        # Encoded as requests encodes a json= argument.
+        reply = self._post(json.dumps(payload, allow_nan=False).encode("utf-8"))
         try:
-            data = json.loads(body)
-            text = data["choices"][0]["message"]["content"]
+            text = reply["choices"][0]["message"]["content"]
             if not isinstance(text, str):
                 raise TypeError(f"content is {type(text).__name__}, not a string")
-            prompt_tokens, completion_tokens = token_counts(data.get("usage"))
-        except (ValueError, KeyError, IndexError, TypeError, AttributeError, RecursionError) as exc:
+            prompt_tokens, completion_tokens = token_counts(reply.get("usage"))
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise TransportError(f"malformed completion response: {exc}") from exc
         return CompletionResponse(text, prompt_tokens, completion_tokens, ServedFrom.LIVE)
 
@@ -489,13 +489,19 @@ class BackendSettings(NamedTuple):
 
     def check(self) -> BackendSettings:
         """These settings, unless the mode is unknown or lacks the file it
-        reads (ConfigError)."""
+        reads, or a transport setting is out of range (ConfigError)."""
         if self.mode not in BACKEND_MODES:
             raise ConfigError(f"backend mode must be one of {BACKEND_MODES}")
         if self.mode == "scripted" and self.script is None:
             raise ConfigError("scripted mode requires a script path")
         if self.mode == "replay" and self.cache is None:
             raise ConfigError("replay mode requires a cache path")
+        if self.max_attempts < 1:
+            raise ConfigError("max_attempts must be >= 1")
+        if self.rpm is not None and self.rpm < 1:
+            raise ConfigError("rpm must be >= 1 when set")
+        if not 0 < self.timeout < math.inf:
+            raise ConfigError(f"timeout must be > 0 and finite, not {self.timeout!r}")
         return self
 
 

@@ -3,8 +3,9 @@
 Exit codes: 0 success; 1 internal error (no input should cause one); 2
 configuration, usage or input error, a file-system error on a named path
 included; 3 backend failure (transport, auth, script, replay miss, budget,
-an unparseable reply under --strict, a remote endpoint); 4 experiment
-completed with per-document failures. Each error class carries its code.
+an unparseable reply under --strict); 4 experiment completed with
+per-document failures, a remote extractor or scorer that is down included
+(summarize falls back to the naive extractor). Each error class carries its code.
 """
 
 from __future__ import annotations

@@ -247,7 +247,8 @@ def build_parts(
         factory = backend_factory(settings, cache)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid input file ({type(exc).__name__}): {exc}") from exc
-    return prompts, exemplars, factory, build_extractor(knowledge_endpoint, knowledge_fallback), cache
+    extractor = build_extractor(knowledge_endpoint, knowledge_fallback, settings.max_attempts)
+    return prompts, exemplars, factory, extractor, cache
 
 
 def claim_cache(settings: BackendSettings, cache: ResponseCache | None) -> None:
@@ -355,11 +356,8 @@ def run_experiment(
     loaded = load_corpus(manifest.corpus_path, manifest.corpus_schema, strict=True)
     records = sample(loaded.records, manifest.sample)
 
-    scorer = (
-        FaithfulnessScorer(manifest.faithfulness_endpoint)
-        if manifest.faithfulness_endpoint
-        else None
-    )
+    endpoint = manifest.faithfulness_endpoint
+    scorer = FaithfulnessScorer(endpoint, max_attempts=manifest.backend.max_attempts) if endpoint else None
     traces = manifest.output_dir / "traces"
     traces.mkdir(parents=True, exist_ok=True)
 

@@ -9,9 +9,12 @@ claim of parity with a real extractor.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Protocol
+import time
+from functools import partial
+from typing import Callable, NamedTuple, Protocol
 
-from .errors import RemoteUnavailable
+from .backend import DEFAULT_MAX_ATTEMPTS, Transport, post_json, requests_transport
+from .errors import BackendError, RemoteUnavailable
 
 NAIVE_CONFIDENCE = 0.5
 PROMPT_TRIPLET_LIMIT = 20
@@ -132,38 +135,29 @@ class NaiveExtractor:
 class RemoteExtractor:
     """Client for an annotation server that returns open-IE style triples.
 
-    POSTs the raw text (text/plain) and expects the common response shape:
-    ``{"sentences": [{"openie": [{"subject", "relation", "object",
-    "confidence"?}]}]}``. A payload that is not an object, or whose
-    ``sentences`` or ``openie`` is not a list of objects, is
-    RemoteUnavailable. A triple is skipped unless its subject, relation and
-    object are non-empty strings and its confidence, when given, is a number
-    (not a bool) in [0, 1].
+    POSTs the raw text (text/plain) through ``backend.post_json`` and
+    expects the common response shape: ``{"sentences": [{"openie":
+    [{"subject", "relation", "object", "confidence"?}]}]}``. A failed post, a
+    payload that is not an object, or one whose ``sentences`` or ``openie``
+    is not a list of objects, is RemoteUnavailable. A triple is skipped
+    unless its subject, relation and object are non-empty strings and its
+    confidence, when given, is a number (not a bool) in [0, 1].
     """
 
-    def __init__(self, endpoint: str, timeout: float = DEFAULT_CONNECT_TIMEOUT, session=None):
-        self.endpoint = endpoint
-        self.timeout = timeout
-        if session is None:
-            import requests as session  # here, so that offline runs do not pay for importing it
-        self._session = session
+    def __init__(
+        self, endpoint: str, timeout: float = DEFAULT_CONNECT_TIMEOUT, max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+        transport: Transport = requests_transport, sleep: Callable[[float], None] = time.sleep,
+    ):
+        self._post = partial(
+            post_json, endpoint, headers={"Content-Type": "text/plain; charset=utf-8"}, name="annotation server",
+            timeout=timeout, max_attempts=max_attempts, transport=transport, sleep=sleep,
+        )
 
     def extract(self, text: str) -> list[Triplet]:
         try:
-            resp = self._session.post(
-                self.endpoint,
-                data=text.encode("utf-8"),
-                headers={"Content-Type": "text/plain; charset=utf-8"},
-                timeout=self.timeout,
-            )
-        except Exception as exc:
-            raise RemoteUnavailable(f"annotation server unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise RemoteUnavailable(f"annotation server returned HTTP {resp.status_code}")
-        try:
-            payload = resp.json()
-        except ValueError as exc:
-            raise RemoteUnavailable(f"annotation server returned non-JSON body: {exc}") from exc
+            payload = self._post(text.encode("utf-8"))
+        except BackendError as exc:
+            raise RemoteUnavailable(f"annotation server unavailable: {exc}") from exc
         if not isinstance(payload, dict):
             raise RemoteUnavailable(f"annotation server returned {type(payload).__name__}, not an object")
         triplets = []
@@ -205,12 +199,14 @@ class FallbackExtractor:
             return self.fallback.extract(text)
 
 
-def build_extractor(endpoint: str | None, fallback: bool = True) -> TripletExtractor | None:
-    """The remote extractor at ``endpoint`` (None without one), behind the
-    naive fallback unless ``fallback`` is False."""
+def build_extractor(endpoint: str | None, fallback: bool, max_attempts: int) -> TripletExtractor | None:
+    """The remote extractor at ``endpoint`` (None without one), making up
+    to ``max_attempts`` attempts per text, behind the naive fallback unless
+    ``fallback`` is False."""
     if not endpoint:
         return None
-    return FallbackExtractor(RemoteExtractor(endpoint)) if fallback else RemoteExtractor(endpoint)
+    remote = RemoteExtractor(endpoint, max_attempts=max_attempts)
+    return FallbackExtractor(remote) if fallback else remote
 
 
 def select_for_prompt(triplets: list[Triplet], limit: int = PROMPT_TRIPLET_LIMIT) -> list[Triplet]:

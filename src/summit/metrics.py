@@ -16,12 +16,16 @@ candidates tokenizes each text, and counts each reference's n-grams, once.
 
 from __future__ import annotations
 
+import json
 import math
 import re
+import time
 from collections import Counter
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
-from .errors import DegenerateDistribution, EmptyInput, RemoteUnavailable
+from .backend import DEFAULT_MAX_ATTEMPTS, Transport, post_json, requests_transport
+from .errors import BackendError, DegenerateDistribution, EmptyInput, RemoteUnavailable
 
 # Maximal runs of alphanumeric characters; underscore counts as a separator.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -180,33 +184,25 @@ class FaithfulnessScorer:
     """Client for a remote consistency classifier.
 
     Wire shape: POST ``{"document": ..., "summary": ...}`` as JSON to the
-    configured endpoint; the response body is either a bare JSON number or
-    ``{"score": <number>}``, an int or float (not a bool) in [0, 1];
-    anything else is RemoteUnavailable.
+    configured endpoint through ``backend.post_json``; the response body is
+    a bare JSON number or ``{"score": <number>}``, an int or float (not a
+    bool) in [0, 1]. A failed post or anything else is RemoteUnavailable.
     """
 
-    def __init__(self, endpoint: str, timeout: float = 30.0, session=None):
-        self.endpoint = endpoint
-        self.timeout = timeout
-        if session is None:
-            import requests as session  # here, so that offline runs do not pay for importing it
-        self._session = session
+    def __init__(
+        self, endpoint: str, timeout: float = 30.0, max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+        transport: Transport = requests_transport, sleep: Callable[[float], None] = time.sleep,
+    ):
+        self._post = partial(
+            post_json, endpoint, headers={"Content-Type": "application/json"}, name="faithfulness endpoint",
+            timeout=timeout, max_attempts=max_attempts, transport=transport, sleep=sleep,
+        )
 
     def score(self, document: str, summary: str) -> float:
         try:
-            resp = self._session.post(
-                self.endpoint,
-                json={"document": document, "summary": summary},
-                timeout=self.timeout,
-            )
-        except Exception as exc:
-            raise RemoteUnavailable(f"faithfulness endpoint unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise RemoteUnavailable(f"faithfulness endpoint returned HTTP {resp.status_code}")
-        try:
-            body = resp.json()
-        except ValueError as exc:
-            raise RemoteUnavailable(f"faithfulness endpoint returned non-JSON body: {exc}") from exc
+            body = self._post(json.dumps({"document": document, "summary": summary}).encode("utf-8"))
+        except BackendError as exc:
+            raise RemoteUnavailable(f"faithfulness endpoint unavailable: {exc}") from exc
         value = body.get("score") if isinstance(body, dict) else body
         if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
             raise RemoteUnavailable(f"faithfulness score out of range or missing: {value!r}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from collections import Counter
 from typing import NamedTuple
 
@@ -139,8 +140,8 @@ class SessionConfig(NamedTuple):
             raise ConfigError("max_iterations must be >= 1")
         if self.setting is Setting.CONTROL and not (self.topic_query or "").strip():
             raise ConfigError("control setting requires a topic_query")
-        if self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError(f"temperature must be >= 0 and finite, not {self.temperature!r}")
         if self.max_output_tokens < 1:
             raise ConfigError("max_output_tokens must be positive")
         if not self.stop_marker:

@@ -189,6 +189,30 @@ def _oracle_sentence(sentence: str) -> Triplet | None:
     return Triplet(subject, relation, obj, confidence=NAIVE_CONFIDENCE)
 
 
+# --- remote transport fake ------------------------------------------------------
+
+
+class FakeTransport:
+    """A ``Transport`` for every remote: replays a fixed sequence of
+    (status, body text) results or exceptions, repeating the last once the
+    sequence is spent, and records each call's url, headers, data and timeout."""
+
+    def __init__(self, results):
+        self.results = list(results)
+        self.calls = []
+
+    def __call__(self, url, headers, data, timeout):
+        self.calls.append({"url": url, "headers": headers, "data": data, "timeout": timeout})
+        result = self.results[min(len(self.calls), len(self.results)) - 1]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+
+def no_sleep(_):
+    pass
+
+
 # --- scripted session generation ---------------------------------------------
 
 STOP = "<STOP>"

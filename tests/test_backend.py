@@ -9,11 +9,12 @@ import threading
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import summit.backend as backend_module
-from helpers import CountingHashlib, cache_key_oracle, write_script
+from helpers import CountingHashlib, FakeTransport, cache_key_oracle, no_sleep, write_script
 from summit.backend import (
     CachedBackend,
     ChatMessage,
@@ -30,7 +31,18 @@ from summit.backend import (
     load_script,
 )
 from summit.cache import ResponseCache
-from summit.errors import AuthError, ConfigError, ReplayMiss, ScriptExhausted, ScriptMismatch, TransportError
+from summit.errors import (
+    AuthError,
+    BackendError,
+    ConfigError,
+    RemoteUnavailable,
+    ReplayMiss,
+    ScriptExhausted,
+    ScriptMismatch,
+    TransportError,
+)
+from summit.knowledge import RemoteExtractor, Triplet
+from summit.metrics import FaithfulnessScorer
 
 
 def make_request(content="hello", tag="t1", system="sys", temperature=0.0):
@@ -54,25 +66,6 @@ def ok_body(text="response text", prompt_tokens=7, completion_tokens=3):
             "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": completion_tokens},
         }
     )
-
-
-class FakeTransport:
-    """Replays a fixed sequence of (status, body) results; records payloads."""
-
-    def __init__(self, results):
-        self.results = list(results)
-        self.calls = []
-
-    def __call__(self, url, headers, payload, timeout):
-        self.calls.append({"url": url, "headers": headers, "payload": payload, "timeout": timeout})
-        result = self.results.pop(0)
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-
-def no_sleep(_):
-    pass
 
 
 # --- request invariants / cache key ----------------------------------------
@@ -295,56 +288,105 @@ def test_live_success_parses_wire_shape():
     call = transport.calls[0]
     assert call["url"] == "http://api.example/v1/chat/completions"
     assert call["headers"]["Authorization"] == "Bearer k"
-    assert call["payload"]["model"] == "m1"
-    assert call["payload"]["messages"][0] == {"role": "system", "content": "sys"}
-    assert call["payload"]["max_tokens"] == 64
-    assert call["payload"]["temperature"] == 0.0
+    payload = json.loads(call["data"])
+    assert payload["model"] == "m1"
+    assert payload["messages"][0] == {"role": "system", "content": "sys"}
+    assert payload["max_tokens"] == 64
+    assert payload["temperature"] == 0.0
 
 
-def test_transient_statuses_retry_until_success():
-    transport = FakeTransport([(500, "boom"), (429, "slow down"), (200, ok_body())])
-    backend = HttpBackend("http://x", transport=transport, sleep=no_sleep)
-    assert backend.complete(make_request()).text == "response text"
-    assert len(transport.calls) == 3
+#: Each client of ``post_json``: a maker taking its hooks, one call, a 200
+#: body it accepts and what the call then returns.
+REMOTE_CLIENTS = {
+    "chat": (
+        lambda **hooks: HttpBackend("http://x", **hooks),
+        lambda client: client.complete(make_request("caf\u00e9")).text,
+        ok_body(),
+        "response text",
+    ),
+    "extractor": (
+        lambda **hooks: RemoteExtractor("http://x", **hooks),
+        lambda client: client.extract("caf\u00e9"),
+        json.dumps({"sentences": [{"openie": [{"subject": "a", "relation": "r", "object": "b"}]}]}),
+        [Triplet("a", "r", "b")],
+    ),
+    "scorer": (
+        lambda **hooks: FaithfulnessScorer("http://x", **hooks),
+        lambda client: client.score("caf\u00e9", "sum"),
+        json.dumps({"score": 0.25}),
+        0.25,
+    ),
+}
+OK = object()  # stands for the client's accepted 200 reply
 
 
-def test_retries_bounded_then_transport_error():
-    transport = FakeTransport([(500, "a"), (503, "b"), (500, "c"), (502, "d"), (200, ok_body())])
-    backend = HttpBackend("http://x", max_attempts=4, transport=transport, sleep=no_sleep)
-    with pytest.raises(TransportError):
-        backend.complete(make_request())
-    assert len(transport.calls) == 4
+@pytest.mark.parametrize("client", REMOTE_CLIENTS)
+@pytest.mark.parametrize(
+    "results, error, attempts, sleeps",
+    [
+        ([(500, "boom"), (429, "slow down"), OK], None, 3, [0.5, 1.0]),
+        ([(500, "a"), (503, "b"), (500, "c"), (502, "d"), OK], TransportError, 4, [0.5, 1.0, 2.0]),
+        ([(401, "no"), OK], AuthError, 1, []),
+        ([(404, "missing"), OK], TransportError, 1, []),
+        ([ConnectionError("reset"), OK], None, 2, [0.5]),
+        ([(500, "x"), (500, "y"), (500, "z"), (500, "w")], TransportError, 4, [0.5, 1.0, 2.0]),
+    ],
+    ids=["retry-then-succeed", "bounded-retries", "no-retry-on-401", "fail-fast-on-404", "retry-on-exception", "backoff"],
+)
+def test_every_remote_follows_one_status_rule(client, results, error, attempts, sleeps):
+    make, call, body, answer = REMOTE_CLIENTS[client]
+    transport = FakeTransport([(200, body) if result is OK else result for result in results])
+    slept = []
+    remote = make(max_attempts=4, transport=transport, sleep=slept.append)
+    if error is None:
+        assert call(remote) == answer
+    else:
+        with pytest.raises(BackendError) as raised:
+            call(remote)
+        # The chat raises the rule's error; the extractor and the scorer raise
+        # RemoteUnavailable from it, which their callers know.
+        rule_error = raised.value
+        if client != "chat":
+            assert type(rule_error) is RemoteUnavailable
+            rule_error = rule_error.__cause__
+        assert type(rule_error) is error
+    assert len(transport.calls) == attempts
+    assert slept == sleeps
 
 
-def test_auth_error_not_retried():
-    transport = FakeTransport([(401, "no"), (200, ok_body())])
-    backend = HttpBackend("http://x", transport=transport, sleep=no_sleep)
-    with pytest.raises(AuthError):
-        backend.complete(make_request())
-    assert len(transport.calls) == 1
+def _as_requests_sends(value) -> tuple[bytes, str]:
+    """The body and content type that ``requests.post(json=value)`` sends."""
+    prepared = requests.Request("POST", "http://x", json=value).prepare()
+    return prepared.body, prepared.headers["Content-Type"]
 
 
-def test_non_transient_client_error_fails_fast():
-    transport = FakeTransport([(404, "missing"), (200, ok_body())])
-    backend = HttpBackend("http://x", transport=transport, sleep=no_sleep)
-    with pytest.raises(TransportError):
-        backend.complete(make_request())
-    assert len(transport.calls) == 1
+_CHAT_PAYLOAD = {
+    "model": "m1",
+    "messages": [{"role": "system", "content": "sys"}, {"role": "user", "content": "caf\u00e9"}],
+    "temperature": 0.0,
+    "max_tokens": 64,
+}
 
 
-def test_network_exception_is_retried():
-    transport = FakeTransport([ConnectionError("reset"), (200, ok_body())])
-    backend = HttpBackend("http://x", transport=transport, sleep=no_sleep)
-    assert backend.complete(make_request()).text == "response text"
+@pytest.mark.parametrize(
+    "client, url, sent",
+    [
+        ("chat", "http://x/chat/completions", _as_requests_sends(_CHAT_PAYLOAD)),
+        ("extractor", "http://x", ("caf\u00e9".encode("utf-8"), "text/plain; charset=utf-8")),
+        ("scorer", "http://x", _as_requests_sends({"document": "caf\u00e9", "summary": "sum"})),
+    ],
+)
+def test_the_default_transport_gives_requests_post_the_bytes_and_headers(monkeypatch, client, url, sent):
+    make, call, body, answer = REMOTE_CLIENTS[client]
+    posts = []
 
+    def post(url, headers, data, timeout):
+        posts.append((url, (data, headers["Content-Type"])))
+        return type("Response", (), {"status_code": 200, "text": body})()
 
-def test_backoff_is_exponential():
-    sleeps = []
-    transport = FakeTransport([(500, "x"), (500, "y"), (500, "z"), (500, "w")])
-    backend = HttpBackend("http://x", transport=transport, sleep=sleeps.append)
-    with pytest.raises(TransportError):
-        backend.complete(make_request())
-    assert sleeps == [0.5, 1.0, 2.0]
+    monkeypatch.setattr(requests, "post", post)
+    assert call(make()) == answer
+    assert posts == [(url, sent)]
 
 
 @pytest.mark.parametrize(

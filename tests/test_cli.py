@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -14,7 +16,8 @@ from click.testing import CliRunner
 
 import summit.cli as cli
 import summit.experiment as experiment
-from helpers import QUALITY_SCRIPT, RecordingBackend, make_corpus_file, write_script
+import summit.knowledge as knowledge
+from helpers import QUALITY_SCRIPT, RecordingBackend, make_corpus_file, no_sleep, write_script
 from summit.backend import BackendSettings, CompletionResponse, ServedFrom
 from summit.cache import ResponseCache
 from summit.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_PARTIAL, main
@@ -31,6 +34,7 @@ from summit.errors import (
     TransportError,
 )
 from summit.experiment import RunManifest, run_experiment
+from summit.metrics import FaithfulnessScorer
 from summit.trace_io import read_trace
 
 DOC_TEXT = (
@@ -436,23 +440,48 @@ def test_an_interrupted_run_leaves_the_manifest_a_complete_run_writes(tmp_path, 
     assert interrupted == emitted.read_bytes()
 
 
-def test_a_scorer_outage_keeps_the_finished_sessions(runner, tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
+def _refuse_every_post(monkeypatch) -> list[str]:
+    """Make every post through requests fail to connect; the urls it was given."""
+    refused = []
+
+    def refuse(url, headers, data, timeout):
+        refused.append(url)
         raise requests.ConnectionError("connection refused")
 
     monkeypatch.setattr(requests, "post", refuse)
+    return refused
+
+
+def test_a_scorer_outage_keeps_the_finished_sessions(runner, tmp_path, monkeypatch):
+    refused = _refuse_every_post(monkeypatch)
+    monkeypatch.setattr(experiment, "FaithfulnessScorer", functools.partial(FaithfulnessScorer, sleep=no_sleep))
     path = make_manifest(tmp_path, n=3)
     data = json.loads(path.read_text(encoding="utf-8"))
     data["faithfulness"] = {"endpoint": "http://scorer.example/score"}
+    data["backend"]["max_attempts"] = 2
     path.write_text(json.dumps(data), encoding="utf-8")
     result = runner.invoke(main, ["run-exp", str(path)])
     assert result.exit_code == EXIT_PARTIAL, result.output
+    assert refused == ["http://scorer.example/score"] * 6  # the backend's attempts, per document
     out = tmp_path / "out"
     failures = [json.loads(line) for line in (out / "failures.jsonl").read_text(encoding="utf-8").splitlines()]
     assert len(failures) == 3 and all(f["error"].startswith("RemoteUnavailable") for f in failures)
     for failure in failures:
         steps = read_trace(out / "traces" / f"{failure['document_id']}.jsonl")
         assert steps[-1].summary_text == "Refined summary of the document."
+
+
+def test_a_down_extractor_takes_the_backends_attempts_then_the_naive_fallback(runner, tmp_path, monkeypatch):
+    refused = _refuse_every_post(monkeypatch)
+    monkeypatch.setattr(knowledge, "RemoteExtractor", functools.partial(knowledge.RemoteExtractor, sleep=no_sleep))
+    config = tmp_path / "config.yaml"
+    config.write_text("backend: {max_attempts: 3}\n", encoding="utf-8")
+    script = write_script(tmp_path / "script.json", QUALITY_SCRIPT)
+    args = ["summarize", "--doc", str(write_doc(tmp_path)), "--backend", "scripted", "--script", str(script)]
+    args += ["--setting", "faithfulness", "--knowledge-endpoint", "http://annotate.example/", "--config", str(config)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert refused == ["http://annotate.example/"] * 3
 
 
 def test_run_exp_rejects_a_corpus_with_a_torn_line(runner, tmp_path):
@@ -658,11 +687,9 @@ def test_a_one_step_trace_is_scored_once(runner, tmp_path, monkeypatch):
 
     class _Score:
         status_code = 200
+        text = json.dumps({"score": 0.75})
 
-        def json(self):
-            return {"score": 0.75}
-
-    monkeypatch.setattr(requests, "post", lambda url, json, timeout: posts.append(json) or _Score())
+    monkeypatch.setattr(requests, "post", lambda url, headers, data, timeout: posts.append(json.loads(data)) or _Score())
     path = make_manifest(tmp_path, n=4, script=QUALITY_SCRIPT[:1] + QUALITY_SCRIPT[3:])
     data = json.loads(path.read_text(encoding="utf-8"))
     data["faithfulness"] = {"endpoint": "http://scorer.example/score"}
@@ -732,8 +759,8 @@ def test_run_exp_live_fills_unset_settings_from_environment(runner, tmp_path, mo
     monkeypatch.setenv("SUMMIT_MODEL", "env-model")
     posts = []
 
-    def fake_post(url, headers, json, timeout):
-        posts.append((url, headers, json))
+    def fake_post(url, headers, data, timeout):
+        posts.append((url, headers, json.loads(data)))
         return _FakeResponse()
 
     monkeypatch.setattr(requests, "post", fake_post)
@@ -1048,6 +1075,7 @@ def _exemplar_second_line(data: bytes):
         ("summarize", _config_file("- 1\n"), "config.yaml must be a mapping at the top level"),
         ("summarize", _config_file("knowledge: 3\n"), "knowledge must be a mapping"),
         ("summarize", _config_file("backend: {cache: 5}\n"), "cache must be a path string"),
+        ("summarize", _config_file("backend: {timeout: 0}\n"), "timeout must be > 0 and finite"),
         ("summarize", _config_file("backend: {cahce: c.jsonl}\n"), "unknown config key 'backend.cahce'"),
         ("summarize", _config_file("knowlege: {endpoint: http://localhost:9000}\n"), "unknown config key 'knowlege'"),
         ("summarize", _config_file("backend: {rmp: 5}\nknowledge: {endpont: x}\n"), "unknown config key 'backend.rmp'"),
@@ -1076,7 +1104,7 @@ def test_malformed_inputs_exit_with_config_error(runner, tmp_path, command, brea
     "command, flags, section, changes, message",
     [
         ("summarize", ["--max-iters", "0"], None, None, "error: max_iterations must be >= 1"),
-        ("summarize", ["--temperature", "-0.1"], None, None, "error: temperature must be >= 0"),
+        ("summarize", ["--temperature", "-0.1"], None, None, "error: temperature must be >= 0 and finite, not -0.1"),
         ("summarize", ["--max-output-tokens", "0"], None, None, "error: max_output_tokens must be positive"),
         ("summarize", ["--stop-marker", ""], None, None, "error: stop_marker must be non-empty"),
         ("summarize", ["--token-budget", "0"], None, None, "error: token_budget must be positive when set"),
@@ -1087,11 +1115,24 @@ def test_malformed_inputs_exit_with_config_error(runner, tmp_path, command, brea
         ("run-exp", [], "session", {"max_iterations": 0},
          "error: invalid session template: max_iterations must be >= 1"),
         ("replay", [], "backend", {"cache": None}, "error: replay mode requires a cache path"),
+        ("run-exp", [], "backend", {"max_attempts": 0}, "error: max_attempts must be >= 1"),
+        ("run-exp", [], "backend", {"rpm": -3}, "error: rpm must be >= 1 when set"),
+        ("run-exp", [], "backend", {"timeout": 0}, "error: timeout must be > 0 and finite, not 0.0"),
+        ("run-exp", [], "backend", {"timeout": -1.0}, "error: timeout must be > 0 and finite"),
+        ("run-exp", [], "backend", {"timeout": math.nan}, "error: timeout must be > 0 and finite"),
+        ("summarize", ["--temperature", "nan"], None, None, "error: temperature must be >= 0 and finite, not nan"),
+        ("summarize", ["--temperature", "inf"], None, None, "error: temperature must be >= 0 and finite, not inf"),
+        ("run-exp", [], "session", {"temperature": math.nan},
+         "error: invalid session template: temperature must be >= 0 and finite, not nan"),
+        ("run-exp", [], "session", {"temperature": math.inf},
+         "error: invalid session template: temperature must be >= 0 and finite, not inf"),
     ],
     ids=[
         "max-iters-0", "temperature-negative", "max-output-tokens-0", "stop-marker-empty", "token-budget-0",
         "topic-blank", "sample-n-0", "backend-mode-unknown", "scripted-without-script",
-        "session-max-iterations-0", "replay-manifest-without-cache",
+        "session-max-iterations-0", "replay-manifest-without-cache", "max-attempts-0", "rpm-negative",
+        "timeout-0", "timeout-negative", "timeout-nan", "temperature-nan", "temperature-inf",
+        "session-temperature-nan", "session-temperature-inf",
     ],
 )
 def test_out_of_range_settings_exit_with_config_error_before_any_file(

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import pytest
-import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import naive_extract_oracle
+from helpers import FakeTransport, naive_extract_oracle, no_sleep
 from summit.errors import RemoteUnavailable
 from summit.knowledge import (
     FallbackExtractor,
@@ -91,7 +92,7 @@ def test_triplet_field_invariants():
     good = {"subject": "a", "relation": "likes", "object": "b", "confidence": 0.5}
     body = {"sentences": [{"openie": [{**good, "subject": " "}, {**good, "confidence": 1.5}, good]}]}
     triplet = Triplet("a", "likes", "b", confidence=0.5)
-    assert RemoteExtractor("http://annotate", session=_StubSession((200, body))).extract("text") == [triplet]
+    assert _remote((200, body)).extract("text") == [triplet]
     assert triplet == Triplet(subject="a", relation="likes", object="b", confidence=0.5)
     assert triplet != Triplet("a", "likes", "b")
     with pytest.raises(AttributeError):
@@ -123,24 +124,11 @@ def test_select_for_prompt_ranks_by_confidence():
     assert select_for_prompt([low, high, naive], limit=2) == [high, naive]
 
 
-class _StubSession:
-    def __init__(self, reply):
-        self.reply = reply
-        self.posted = None
-
-    def post(self, url, data=None, headers=None, timeout=None):
-        self.posted = data
-        if isinstance(self.reply, Exception):
-            raise self.reply
-        status, body = self.reply
-
-        class _Resp:
-            status_code = status
-
-            def json(self):
-                return body
-
-        return _Resp()
+def _remote(*results) -> RemoteExtractor:
+    """A remote extractor whose server answers ``results`` in turn; a
+    (status, value) result answers the value as JSON."""
+    replies = [r if isinstance(r, Exception) else (r[0], json.dumps(r[1])) for r in results]
+    return RemoteExtractor("http://annotate", transport=FakeTransport(replies), sleep=no_sleep)
 
 
 def test_remote_extractor_parses_server_shape():
@@ -155,7 +143,7 @@ def test_remote_extractor_parses_server_shape():
             {"openie": [{"subject": "club", "relation": "sits", "object": "fifth"}]},
         ]
     }
-    extractor = RemoteExtractor("http://annotate", session=_StubSession((200, body)))
+    extractor = _remote((200, body))
     triplets = extract_triplets(extractor, "whatever text")
     assert triplets == [
         Triplet("Obiang", "joined", "Sampdoria", confidence=0.93),
@@ -193,7 +181,7 @@ def _openie(*triples) -> dict:
     ],
 )
 def test_remote_extractor_refuses_a_payload_of_the_wrong_shape_and_skips_a_bad_triple(body, expected):
-    extractor = RemoteExtractor("http://annotate", session=_StubSession((200, body)))
+    extractor = _remote((200, body))
     if expected is not RemoteUnavailable:
         assert extractor.extract("text") == expected
         return
@@ -204,32 +192,33 @@ def test_remote_extractor_refuses_a_payload_of_the_wrong_shape_and_skips_a_bad_t
     assert FallbackExtractor(extractor).extract("Obiang joined Sampdoria in 2010.") == naive
 
 
-def test_remote_extractor_without_a_session_posts_through_requests(monkeypatch):
-    stub = _StubSession((200, {"sentences": [{"openie": [{"subject": "a", "relation": "r", "object": "b"}]}]}))
-    monkeypatch.setattr(requests, "post", stub.post)
-    assert RemoteExtractor("http://annotate").extract("whatever") == [Triplet("a", "r", "b")]
-    assert stub.posted == b"whatever"
-
-
 def test_remote_extractor_unreachable():
-    extractor = RemoteExtractor("http://annotate", session=_StubSession(ConnectionError("nope")))
+    extractor = _remote(ConnectionError("nope"))
     with pytest.raises(RemoteUnavailable):
         extractor.extract("text")
 
 
 def test_remote_extractor_http_error():
-    extractor = RemoteExtractor("http://annotate", session=_StubSession((500, {})))
+    extractor = _remote((500, {}))
     with pytest.raises(RemoteUnavailable):
         extractor.extract("text")
 
 
 def test_fallback_extractor_degrades_to_naive():
-    remote = RemoteExtractor("http://annotate", session=_StubSession(ConnectionError("down")))
+    remote = _remote(ConnectionError("down"))
     triplets = FallbackExtractor(remote).extract("Obiang joined Sampdoria in 2010.")
     assert triplets == [Triplet("Obiang", "joined", "Sampdoria in 2010", confidence=0.5)]
 
 
+def test_an_extractor_refused_authentication_falls_back_to_the_naive_triples():
+    transport = FakeTransport([(401, "no"), (200, json.dumps({"sentences": []}))])
+    remote = RemoteExtractor("http://annotate", transport=transport, sleep=no_sleep)
+    triplets = FallbackExtractor(remote).extract("Obiang joined Sampdoria in 2010.")
+    assert triplets == [Triplet("Obiang", "joined", "Sampdoria in 2010", confidence=0.5)]
+    assert len(transport.calls) == 1  # not retried
+
+
 def test_fallback_extractor_prefers_remote():
     body = {"sentences": [{"openie": [{"subject": "a", "relation": "r", "object": "b"}]}]}
-    remote = RemoteExtractor("http://annotate", session=_StubSession((200, body)))
+    remote = _remote((200, body))
     assert FallbackExtractor(remote).extract("whatever") == [Triplet("a", "r", "b")]

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lcs_dp_oracle, lcs_oracle, rouge_n_oracle
+from helpers import FakeTransport, lcs_dp_oracle, lcs_oracle, no_sleep, rouge_n_oracle
 from summit.errors import DegenerateDistribution, EmptyInput, RemoteUnavailable
 from summit.metrics import (
     FaithfulnessScorer,
@@ -322,54 +322,35 @@ def test_aggregate_matches_independent_summation():
 # --- remote faithfulness scorer ------------------------------------------------------------
 
 
-class _StubSession:
-    def __init__(self, responses):
-        self.responses = responses
-        self.calls = []
-
-    def post(self, url, json=None, timeout=None):
-        self.calls.append(json)
-        reply = self.responses[min(len(self.calls) - 1, len(self.responses) - 1)]
-        if isinstance(reply, Exception):
-            raise reply
-        status, body = reply
-
-        class _Resp:
-            status_code = status
-
-            def json(self):
-                return body
-
-        return _Resp()
+def _scorer(*results) -> FaithfulnessScorer:
+    """A scorer whose endpoint answers ``results`` in turn; a (status,
+    value) result answers the value as JSON."""
+    replies = [r if isinstance(r, Exception) else (r[0], json.dumps(r[1])) for r in results]
+    return FaithfulnessScorer("http://scorer", transport=FakeTransport(replies), sleep=no_sleep)
 
 
 def test_faithfulness_passthrough_stub():
-    scorer = FaithfulnessScorer("http://scorer", session=_StubSession([(200, {"score": 0.36})]))
-    assert scorer.score("doc", "sum") == pytest.approx(0.36)
-
-
-def test_faithfulness_without_a_session_posts_through_requests(monkeypatch):
-    stub = _StubSession([(200, {"score": 0.36})])
-    monkeypatch.setattr(requests, "post", stub.post)
-    assert FaithfulnessScorer("http://scorer").score("doc", "sum") == pytest.approx(0.36)
-    assert stub.calls == [{"document": "doc", "summary": "sum"}]
+    assert _scorer((200, {"score": 0.36})).score("doc", "sum") == pytest.approx(0.36)
 
 
 def test_faithfulness_accepts_bare_number():
-    scorer = FaithfulnessScorer("http://scorer", session=_StubSession([(200, 0.7)]))
-    assert scorer.score("doc", "sum") == pytest.approx(0.7)
+    assert _scorer((200, 0.7)).score("doc", "sum") == pytest.approx(0.7)
+
+
+def test_a_scorer_that_answers_503_once_keeps_the_score_it_then_gives():
+    transport = FakeTransport([(503, "busy"), (200, json.dumps({"score": 0.4}))])
+    scorer = FaithfulnessScorer("http://scorer", transport=transport, sleep=no_sleep)
+    assert scorer.score("doc", "sum") == pytest.approx(0.4)
+    assert [json.loads(call["data"]) for call in transport.calls] == [{"document": "doc", "summary": "sum"}] * 2
 
 
 def test_faithfulness_unreachable():
-    scorer = FaithfulnessScorer("http://scorer", session=_StubSession([ConnectionError("refused")]))
     with pytest.raises(RemoteUnavailable):
-        scorer.score("doc", "sum")
+        _scorer(ConnectionError("refused")).score("doc", "sum")
 
 
 def test_faithfulness_rejects_out_of_range():
     # A bool is no score, as it is no token count, though Python makes it an int.
     for body in ({"score": 1.4}, {"score": True}, False):
-        scorer = FaithfulnessScorer("http://scorer", session=_StubSession([(200, body)]))
         with pytest.raises(RemoteUnavailable, match="^faithfulness score out of range or missing: "):
-            scorer.score("doc", "sum")
-
+            _scorer((200, body)).score("doc", "sum")

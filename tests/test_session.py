@@ -183,7 +183,7 @@ def test_control_without_topic_rejected(registry):
     "values, message",
     [
         ({"max_iterations": 0}, "max_iterations must be >= 1"),
-        ({"temperature": -0.1}, "temperature must be >= 0"),
+        ({"temperature": -0.1}, "temperature must be >= 0 and finite, not -0.1"),
         ({"max_output_tokens": 0}, "max_output_tokens must be positive"),
         ({"stop_marker": ""}, "stop_marker must be non-empty"),
         ({"token_budget": 0}, "token_budget must be positive when set"),

@@ -98,7 +98,7 @@ def test_live_dispatches_are_throttled_per_attempt():
     limiter = RateLimiter(1, clock=clock.monotonic, sleep=clock.sleep)
     dispatch_times = []
 
-    def transport(url, headers, payload, timeout):
+    def transport(url, headers, data, timeout):
         dispatch_times.append(clock.monotonic())
         return 200, '{"choices": [{"message": {"content": "ok"}}], "usage": {}}'
 
@@ -113,7 +113,7 @@ def test_cached_hits_bypass_throttle():
     limiter = RateLimiter(1, clock=clock.monotonic, sleep=clock.sleep)
     calls = []
 
-    def transport(url, headers, payload, timeout):
+    def transport(url, headers, data, timeout):
         calls.append(clock.monotonic())
         return 200, '{"choices": [{"message": {"content": "ok"}}], "usage": {}}'
 
