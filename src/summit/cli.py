@@ -93,6 +93,9 @@ def summarize(
     """Summarize one document and print the final summary."""
     if setting == "control" and not topic:
         raise ConfigError("--setting control requires --topic")
+    if not doc:
+        # UTF-8 under any locale: the C locale would read a bad byte as a surrogate escape.
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
     try:
         text = Path(doc).read_text(encoding="utf-8") if doc else sys.stdin.read()
     except UnicodeDecodeError as exc:

@@ -48,6 +48,9 @@ def load_config_file(path: str | Path | None) -> dict:
     unknown = sorted(key_paths(data) - _FILE_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r} in {path}")
+    endpoint = mapping(data.get("knowledge"), "knowledge").get("endpoint")
+    if is_set(endpoint):
+        coerce(str, endpoint, key="endpoint")
     return data
 
 
@@ -66,9 +69,9 @@ def mapping(value, key: str) -> dict:
     return value
 
 
-#: The exact value types a bool, int or float field accepts: a bool is
-#: no number here, though Python makes bool a subclass of int.
-_ACCEPTED = {bool: (bool,), int: (int,), float: (int, float)}
+#: The exact value types a str, bool, int or float field accepts: a bool
+#: is no number here, though Python makes bool a subclass of int.
+_ACCEPTED = {str: (str,), bool: (bool,), int: (int,), float: (int, float)}
 
 
 def coerce(hint, value, base: Path | None = None, key: str = "value"):
@@ -77,8 +80,8 @@ def coerce(hint, value, base: Path | None = None, key: str = "value"):
     ``X | None`` converts to ``X``; a path is given as a string (or a
     Path), and a relative one resolves against ``base`` when one is given;
     a nested record (a NamedTuple) is built from a mapping.
-    A bool, int or float field takes only the types ``_ACCEPTED`` names, so
-    ``"false"`` is no bool and 2.7 no int (ConfigError naming ``key``).
+    A str, bool, int or float field takes only the types ``_ACCEPTED`` names,
+    so 5 is no str, ``"false"`` no bool and 2.7 no int (ConfigError naming ``key``).
     """
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]

@@ -59,10 +59,14 @@ class LoadResult(NamedTuple):
 
 def _validate_record(raw: dict, schema: CorpusSchema) -> DatasetRecord:
     try:
-        rec_id = str(raw["id"])
+        rec_id = raw["id"]
         document = raw["document"]
     except KeyError as exc:
         raise ValueError(f"missing field: {exc}") from exc
+    # A number is read as its decimal string; a bool is no number here.
+    if isinstance(rec_id, bool) or not isinstance(rec_id, (str, int, float)):
+        raise ValueError(f"id {rec_id!r} is not a string or a number")
+    rec_id = str(rec_id)
     summaries, topics = ([] if raw.get(key) is None else raw[key] for key in ("summaries", "topics"))
     if not isinstance(summaries, list) or not isinstance(topics, list):
         raise ValueError("summaries and topics must be JSON arrays of strings")

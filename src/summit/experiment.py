@@ -84,15 +84,17 @@ class RunManifest(NamedTuple):
 
     def check(self) -> RunManifest:
         """This manifest, unless its sample (ValueError), its backend, its
-        worker or shot count, or its session template (ConfigError) is out of
-        range. A control run's template is checked with a placeholder topic,
-        since each record may give its own."""
+        worker or shot count, its topic index or its session template
+        (ConfigError) is out of range. A control run's template is checked
+        with a placeholder topic, since each record may give its own."""
         self.sample.check()
         self.backend.check()
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.shots < 0:
             raise ConfigError("shots must be >= 0")
+        if self.topic_index < 0:
+            raise ConfigError("topic_index must be >= 0")
         try:
             self.session_for(topic="probe" if self.setting is Setting.CONTROL else None).check()
         except ConfigError as exc:

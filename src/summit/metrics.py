@@ -132,12 +132,16 @@ def rouge_l_multi(candidate: list[str], references: list[list[str]]) -> RougeSco
 
 
 def expected_score(distribution: dict[int, float]) -> float:
-    """Expected value of a 1..5 score distribution; renormalizes if needed."""
+    """Expected value of a 1..5 score distribution; renormalizes if needed.
+
+    Its sums, as every float sum that reaches an output, are ``math.fsum``:
+    correctly rounded, so the same on every interpreter (the built-in
+    ``sum`` of floats is compensated from CPython 3.12 on only)."""
     if any(k not in (1, 2, 3, 4, 5) for k in distribution):
         raise ValueError("score keys must be in 1..5")
     if any(v < 0 for v in distribution.values()):
         raise ValueError("probabilities must be non-negative")
-    total = sum(distribution.values())
+    total = math.fsum(distribution.values())
     if total == 0:
         raise DegenerateDistribution("distribution has zero total mass")
     if not math.isclose(total, 1.0, abs_tol=_SUM_TOLERANCE):
@@ -147,7 +151,7 @@ def expected_score(distribution: dict[int, float]) -> float:
         distribution = {k: v / total for k, v in distribution.items()}
     # A mass within the tolerance of 1 is not renormalized, and could carry
     # the expectation just past either end of the scale.
-    return min(5.0, max(1.0, sum(score * p for score, p in distribution.items())))
+    return min(5.0, max(1.0, math.fsum(score * p for score, p in distribution.items())))
 
 
 def topic_similarity(query: str | list[str], summary: str | list[str]) -> float:
@@ -177,7 +181,7 @@ class CorpusStats(NamedTuple):
 def aggregate(values: list[float], name: str) -> CorpusStats:
     if not values:
         raise EmptyInput(f"no values to aggregate for {name!r}")
-    return CorpusStats(name=name, mean=sum(values) / len(values), count=len(values), values=list(values))
+    return CorpusStats(name=name, mean=math.fsum(values) / len(values), count=len(values), values=list(values))
 
 
 class FaithfulnessScorer:

@@ -6,6 +6,7 @@ does not match is ignored rather than raised on.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ParseError
@@ -106,8 +107,11 @@ def parse_score_distribution(raw: str) -> dict[int, float] | None:
                 continue
             seen.add(score)
             distribution[score] = float(match.group(2))
-        total = sum(distribution.values())
-        if total == 0:
+        try:
+            total = math.fsum(distribution.values())
+        except OverflowError:  # finite values whose sum is past the float range
+            total = math.inf
+        if total == 0 or total == math.inf:  # no mass, or more than a float holds
             continue
         if abs(total - 1.0) > 1e-6:
             distribution = {s: p / total for s, p in distribution.items()}

@@ -8,6 +8,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from summit.backend import SCRIPT_HEADER, CompletionBackend, CompletionRequest, CompletionResponse, ScriptStep
@@ -71,6 +72,11 @@ def lcs_dp_oracle(a: list[str], b: list[str]) -> int:
                 curr.append(max(prev[j], curr[j - 1]))
         prev = curr
     return prev[-1]
+
+
+def exact_sum(terms) -> float:
+    """The exact sum of the floats ``terms``, rounded once to a float."""
+    return float(sum(map(Fraction, terms)))
 
 
 # --- cache-key oracle ---------------------------------------------------------

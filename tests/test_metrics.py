@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import FakeTransport, lcs_dp_oracle, lcs_oracle, no_sleep, rouge_n_oracle
+from helpers import FakeTransport, exact_sum, lcs_dp_oracle, lcs_oracle, no_sleep, rouge_n_oracle
+from summit import metrics
 from summit.errors import DegenerateDistribution, EmptyInput, RemoteUnavailable
 from summit.metrics import (
     FaithfulnessScorer,
@@ -237,6 +239,17 @@ def test_expected_score_mass_within_tolerance_stays_on_the_scale():
     assert expected_score({1: 0.9999995}) == 1.0
 
 
+@given(st.dictionaries(st.integers(1, 5), st.floats(0.0, 10.0) | st.integers(0, 100).map(lambda k: k / 100), min_size=1))
+@example({1: 0.29, 2: 0.0, 3: 0.15, 4: 0.26, 5: 0.3})  # 3.2800000000000002 by a plain float sum before CPython 3.12
+def test_expected_score_is_the_exact_sum_of_its_terms(dist):
+    # Each sum is of its terms as floats, rounded once: the same on every interpreter.
+    total = exact_sum(dist.values())
+    assume(total > 0)
+    if not math.isclose(total, 1.0, abs_tol=metrics._SUM_TOLERANCE):
+        dist = {score: p / total for score, p in dist.items()}
+    assert expected_score(dist) == min(5.0, max(1.0, exact_sum(score * p for score, p in dist.items())))
+
+
 def test_expected_score_rejects_bad_keys_and_values():
     with pytest.raises(ValueError):
         expected_score({6: 1.0})
@@ -310,13 +323,10 @@ def test_aggregate_empty_raises():
         aggregate([], "demo")
 
 
-def test_aggregate_matches_independent_summation():
-    rng = random.Random(555)
-    values = [rng.random() for _ in range(1000)]
-    total = 0.0
-    for v in values:
-        total += v
-    assert aggregate(values, "demo").mean == pytest.approx(total / 1000, abs=1e-12)
+@given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=50))
+@example([0.1] * 10)  # a plain float sum gives 0.9999999999999999 before CPython 3.12
+def test_aggregate_mean_is_the_exact_sum_over_the_count(values):
+    assert aggregate(values, "demo").mean == exact_sum(values) / len(values)
 
 
 # --- remote faithfulness scorer ------------------------------------------------------------

@@ -6,10 +6,10 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_edit_op
+from helpers import exact_sum, random_edit_op
 from summit.errors import ParseError
 from summit.parsing import (
     parse_edit_ops,
@@ -168,6 +168,21 @@ def test_unnormalized_distribution_is_renormalized():
     assert dist is not None
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-6)
     assert dist[4] == pytest.approx(0.5)
+
+
+@given(st.lists(st.from_regex(r"\d{1,3}(\.\d{1,3})?", fullmatch=True), min_size=5, max_size=5))
+def test_a_distribution_is_renormalized_by_the_exact_sum_of_its_values(numbers):
+    values = [float(number) for number in numbers]
+    total = exact_sum(values)
+    assume(total > 0)
+    expected = values if abs(total - 1.0) <= 1e-6 else [value / total for value in values]
+    raw = "Scores: " + " ".join(f"{score}:{number}" for score, number in enumerate(numbers, start=1))
+    assert parse_score_distribution(raw) == dict(enumerate(expected, start=1))
+
+
+def test_a_score_list_past_the_float_range_is_no_distribution():
+    assert parse_score_distribution("Scores: 4:" + "9" * 400 + " 5:0.5") is None
+    assert parse_score_distribution("Scores: 4:" + "9" * 308 + " 5:" + "9" * 308) is None
 
 
 def test_prose_then_late_score_list_is_found():
