@@ -22,13 +22,12 @@ refused rather than left to interleave lines. Reading takes no lock.
 from __future__ import annotations
 
 import fcntl
-import json
 import os
 import threading
 from pathlib import Path
 from typing import TextIO
 
-from .errors import ConfigError, read_json_lines
+from .errors import ConfigError, json_line, open_for_writing, read_json_lines
 from .types import CompletionResponse, ServedFrom, token_counts
 
 CACHE_HEADER = {"schema": "summit/cache", "version": 1}
@@ -80,7 +79,7 @@ class ResponseCache:
             if self.path is not None:
                 if self._fh is None:
                     self._fh = self._open_for_append()
-                self._fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                self._fh.write(json_line(record))
                 self._fh.flush()
             self._entries[key] = response._replace(served_from=ServedFrom.CACHE)
 
@@ -94,8 +93,7 @@ class ResponseCache:
 
     def _open_for_append(self) -> TextIO:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        # A lone surrogate is written as its \uXXXX JSON escape.
-        fh = self.path.open("a", encoding="utf-8", errors="backslashreplace")
+        fh = open_for_writing(self.path, "a")
         try:
             fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
@@ -103,7 +101,7 @@ class ResponseCache:
             raise ConfigError(f"cache file {self.path} is being written by another run") from None
         # At the end of a new or empty file the position is 0.
         if fh.seek(0, os.SEEK_END) == 0:
-            fh.write(json.dumps(CACHE_HEADER) + "\n")
+            fh.write(json_line(CACHE_HEADER))
         return fh
 
     def close(self) -> None:

@@ -21,7 +21,7 @@ from ._version import __version__
 from .backend import BACKEND_MODES, BackendSettings
 from .config import load_config_file, mapping, resolve_backend_settings
 from .corpus import CONVERT_FORMATS, convert_corpus
-from .errors import BackendError, ConfigError, SummitError
+from .errors import ESCAPING, BackendError, ConfigError, SummitError
 from .experiment import RunManifest, build_parts, claim_cache, estimate_calls, run_experiment
 from .prompting import DEFAULT_SHOTS
 from .report import build_rows, format_table, write_csv
@@ -60,6 +60,9 @@ def _handle_errors(fn):
 @click.version_option(version=__version__, prog_name="summit")
 def main():
     """Iterative summarization engine and evaluation harness."""
+    for stream in (sys.stdout, sys.stderr):  # what is printed follows the file writers' rule
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(errors=ESCAPING)
 
 
 @main.command()
@@ -134,8 +137,7 @@ def summarize(
     if trace_out:
         write_trace(trace, trace_out)
         click.echo(f"trace written to {trace_out}", err=True)
-    # A lone surrogate is printed as its \uXXXX escape, as the file writers write it.
-    click.echo(trace.final_summary.text.encode("utf-8", "backslashreplace").decode("utf-8"))
+    click.echo(trace.final_summary.text)
 
 
 def _load_manifest(manifest_path, mode, out, workers):

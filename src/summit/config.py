@@ -41,8 +41,12 @@ def load_config_file(path: str | Path | None) -> dict:
     path = Path(path)
     try:
         data = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    except yaml.MarkedYAMLError as exc:  # one line, where PyYAML's message quotes the text around each mark
+        mark = exc.problem_mark
+        where = f"line {mark.line + 1} column {mark.column + 1}"
+        raise ConfigError(f"config file {path} is not valid YAML: {exc.problem}: {where}") from exc
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
+        raise ConfigError(f"config file {path} is not valid YAML: {str(exc).splitlines()[0]}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must be a mapping at the top level")
     unknown = sorted(key_paths(data) - _FILE_CONFIG_KEYS)

@@ -9,13 +9,12 @@ the common public release shapes onto this format.
 from __future__ import annotations
 
 import enum
-import json
 import os
 import random
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import SampleTooLarge, SchemaViolation, read_json_lines
+from .errors import SampleTooLarge, SchemaViolation, read_json_lines, write_json_lines
 from .metrics import tokenize
 
 CORPUS_HEADER = {"schema": "summit/corpus", "version": 1}
@@ -148,22 +147,7 @@ def load_corpus(
 def write_corpus(records: list[DatasetRecord], path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # A lone surrogate is written as its \uXXXX JSON escape.
-    with path.open("w", encoding="utf-8", errors="backslashreplace") as fh:
-        fh.write(json.dumps(CORPUS_HEADER) + "\n")
-        for record in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": record.id,
-                        "document": record.document,
-                        "summaries": list(record.summaries),
-                        "topics": list(record.topics),
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_json_lines(path, (record._asdict() for record in records), CORPUS_HEADER)
 
 
 def sample(records: list[DatasetRecord], spec: SampleSpec) -> list[DatasetRecord]:

@@ -1,9 +1,12 @@
-"""Exception hierarchy shared across the package. Each class carries the
+"""Exception hierarchy shared across the package, and the one rule by which
+it reads and writes its files. Each exception class carries the
 exit code a command ends with when it escapes: 2 for bad input, 3 for a
 backend failure, 1 for an internal error (library code misused).
 Every JSON file the package reads is read by ``read_json`` or
 ``read_json_lines``: one rule for its ``{schema, version}`` header, and a
-ConfigError naming the file, or its line, when it is not UTF-8 JSON."""
+ConfigError naming the file, or its line, when it is not UTF-8 JSON.
+Every file it writes is written by ``write_json``, ``write_json_lines`` or
+through ``open_for_writing``: UTF-8 under ``ESCAPING``."""
 
 from __future__ import annotations
 
@@ -157,3 +160,34 @@ def read_json_lines(path, header: dict | None = None, on_error=None, header_opti
                 _check_header(value, header, f"{path}:1")
             else:
                 yield lineno, value
+
+
+#: The error handler of every file and stream summit writes: a lone surrogate is written as its \uXXXX escape.
+ESCAPING = "backslashreplace"
+
+
+def open_for_writing(path, mode: str = "w"):
+    """``path`` opened to write (``"w"``) or append (``"a"``) UTF-8 text
+    under ``ESCAPING``, no newline translated."""
+    return Path(path).open(mode, encoding="utf-8", errors=ESCAPING, newline="")
+
+
+def json_line(value) -> str:
+    """``value`` as one JSON line, ending in a newline: its keys in their own
+    order, a non-ASCII character as itself."""
+    return json.dumps(value, ensure_ascii=False) + "\n"
+
+
+def write_json(path, value) -> None:
+    """Write ``value`` to ``path`` as one JSON document: indented by two
+    spaces, keys sorted, every non-ASCII character escaped."""
+    with open_for_writing(path) as fh:
+        fh.write(json.dumps(value, indent=2, sort_keys=True) + "\n")
+
+
+def write_json_lines(path, values, header: dict | None = None) -> None:
+    """Write ``path`` as the ``header`` line, when given, then one ``json_line`` per value."""
+    with open_for_writing(path) as fh:
+        if header is not None:
+            fh.write(json_line(header))
+        fh.writelines(map(json_line, values))

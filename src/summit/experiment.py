@@ -10,7 +10,6 @@ run is byte-comparable against the original.
 from __future__ import annotations
 
 import enum
-import json
 from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple, get_type_hints
@@ -21,7 +20,7 @@ from .backend import BackendSettings, CompletionBackend, backend_factory
 from .cache import ResponseCache
 from .config import coerce, environment, is_set, key_paths, mapping, params_of, resolve_settings
 from .corpus import CorpusSchema, DatasetRecord, SampleSpec, Split, load_corpus, sample
-from .errors import ConfigError, SummitError, read_json, read_json_lines
+from .errors import ConfigError, SummitError, read_json, read_json_lines, write_json, write_json_lines
 from .knowledge import TripletExtractor, build_extractor
 from .metrics import FaithfulnessScorer, aggregate, rouge_l_multi, rouge_n_multi, topic_similarity
 from .prompting import DEFAULT_SHOTS, PromptRegistry
@@ -93,8 +92,8 @@ class RunManifest(NamedTuple):
             raise ConfigError("workers must be >= 1")
         if self.shots < 0:
             raise ConfigError("shots must be >= 0")
-        if self.topic_index < 0:
-            raise ConfigError("topic_index must be >= 0")
+        if self.topic_index not in (0, 1):  # a record holds at most two topics
+            raise ConfigError(f"topic_index must be 0 or 1, not {self.topic_index}")
         try:
             self.session_for(topic="probe" if self.setting is Setting.CONTROL else None).check()
         except ConfigError as exc:
@@ -385,7 +384,7 @@ def run_experiment(
             stale.unlink()  # an earlier run's; the traces directory holds this run's alone
         # Written before any session, so an interrupted run can be replayed.
         emitted = {**manifest.to_dict(), "prompt_fingerprint": fingerprint, "package_version": __version__}
-        _write_json(manifest.output_dir / "manifest.json", emitted)
+        write_json(manifest.output_dir / "manifest.json", emitted)
         if manifest.workers == 1 or len(records) <= 1:
             outcomes = [process(r) for r in records]
         else:
@@ -399,10 +398,6 @@ def run_experiment(
             cache.close()  # only sessions write to it
 
     return _write_outputs(manifest, records, outcomes)
-
-
-def _write_json(path: Path, data: dict) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_outputs(manifest, records, outcomes) -> ExperimentResult:
@@ -452,16 +447,11 @@ def _write_outputs(manifest, records, outcomes) -> ExperimentResult:
             for metric, values in sorted(per_metric[label].items())
         }
 
-    _write_json(outdir / "stats.json", stats)
+    write_json(outdir / "stats.json", stats)
     calls = {**CALLS_HEADER, "mode": manifest.backend.mode, "calls": counts, "usage": usage_total}
-    _write_json(outdir / "calls.json", calls)
-    failures_path = outdir / "failures.jsonl"
+    write_json(outdir / "calls.json", calls)
+    (outdir / "failures.jsonl").unlink(missing_ok=True)  # an earlier run's
     if failures:
-        # A lone surrogate is written as its \uXXXX JSON escape.
-        with failures_path.open("w", encoding="utf-8", errors="backslashreplace") as fh:
-            for failure in failures:
-                fh.write(json.dumps(failure, ensure_ascii=False, sort_keys=True) + "\n")
-    elif failures_path.exists():
-        failures_path.unlink()
+        write_json_lines(outdir / "failures.jsonl", failures)
 
     return ExperimentResult(output_dir=outdir, stats=stats, failures=failures)

@@ -11,7 +11,7 @@ import csv
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import MissingStats, read_json
+from .errors import MissingStats, open_for_writing, read_json
 from .experiment import STATS_HEADER
 
 MISSING_CELL = "—"
@@ -91,14 +91,6 @@ def build_rows(run_dirs: list[str | Path], include_init: bool = False) -> list[R
     return rows
 
 
-def _active_columns(rows: list[ReportRow]):
-    return [
-        (key, header, scaled)
-        for key, header, scaled in COLUMNS
-        if any(key in row.cells for row in rows)
-    ]
-
-
 def _cell(row: ReportRow, key: str, scaled: bool) -> str:
     if key not in row.cells:
         return MISSING_CELL
@@ -106,10 +98,16 @@ def _cell(row: ReportRow, key: str, scaled: bool) -> str:
     return f"{value:.2f}"
 
 
-def format_table(rows: list[ReportRow]) -> str:
-    columns = _active_columns(rows)
-    headers = ["Run"] + [header for _, header, _ in columns]
+def _grid(rows: list[ReportRow]) -> tuple[list[str], list[list[str]]]:
+    """The headers of the columns any row has a cell in, and each row's label and cells."""
+    columns = [(key, header, scaled) for key, header, scaled in COLUMNS if any(key in row.cells for row in rows)]
     body = [[row.label] + [_cell(row, key, scaled) for key, _, scaled in columns] for row in rows]
+    return [header for _, header, _ in columns], body
+
+
+def format_table(rows: list[ReportRow]) -> str:
+    headers, body = _grid(rows)
+    headers = ["Run"] + headers
     widths = [max(len(str(cell)) for cell in col) for col in zip(*([headers] + body))]
     lines = [
         "  ".join(header.ljust(width) for header, width in zip(headers, widths)).rstrip(),
@@ -121,9 +119,6 @@ def format_table(rows: list[ReportRow]) -> str:
 
 
 def write_csv(rows: list[ReportRow], path: str | Path) -> None:
-    columns = _active_columns(rows)
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run"] + [header for _, header, _ in columns])
-        for row in rows:
-            writer.writerow([row.label] + [_cell(row, key, scaled) for key, _, scaled in columns])
+    headers, body = _grid(rows)
+    with open_for_writing(path) as fh:
+        csv.writer(fh).writerows([["run", *headers], *body])

@@ -8,11 +8,10 @@ session-level values repeated on every record.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ConfigError, read_json_lines
+from .errors import ConfigError, read_json_lines, write_json_lines
 from .types import TARGETED_KINDS, EditKind, EditOp, SessionTrace, StopReason
 
 TRACE_HEADER = {"schema": "summit/trace", "version": 1}
@@ -30,22 +29,23 @@ class TraceRecord(NamedTuple):
 
 
 def trace_records(trace: SessionTrace) -> list[dict]:
+    """The records of ``trace`` as written, each key in sorted order."""
     usage = {
-        "prompt_tokens": trace.usage.prompt_tokens,
-        "completion_tokens": trace.usage.completion_tokens,
         "cache_hits": trace.usage.cache_hits,
+        "completion_tokens": trace.usage.completion_tokens,
+        "prompt_tokens": trace.usage.prompt_tokens,
     }
     return [
         {
             "document_id": trace.document_id,
-            "iteration": step.summary.iteration,
-            "summary_text": step.summary.text,
-            "feedback_raw": step.feedback.raw,
             "edit_ops": [
                 {"kind": op.kind.value, "target": op.target} for op in step.feedback.edit_ops
             ],
             "expected_score": step.feedback.expected_score,
+            "feedback_raw": step.feedback.raw,
+            "iteration": step.summary.iteration,
             "stopped_by": trace.stopped_by.value,
+            "summary_text": step.summary.text,
             "usage": usage,
         }
         for step in trace.steps
@@ -55,11 +55,7 @@ def trace_records(trace: SessionTrace) -> list[dict]:
 def write_trace(trace: SessionTrace, path: str | Path) -> None:
     """Write ``trace`` to ``path``, whose parent directory must exist
     (FileNotFoundError otherwise)."""
-    # A lone surrogate is written as its \uXXXX JSON escape.
-    with Path(path).open("w", encoding="utf-8", errors="backslashreplace") as fh:
-        fh.write(json.dumps(TRACE_HEADER) + "\n")
-        for record in trace_records(trace):
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    write_json_lines(path, trace_records(trace), TRACE_HEADER)
 
 
 def _edit_op(raw: dict) -> EditOp:

@@ -1,5 +1,5 @@
 """Shared test machinery: brute-force oracles, scripted-session generators,
-and fixture corpus builders."""
+reply text and fixture corpus builders."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 from summit.backend import SCRIPT_HEADER, CompletionBackend, CompletionRequest, CompletionResponse, ScriptStep
 from summit.corpus import DatasetRecord, write_corpus
@@ -77,6 +79,18 @@ def lcs_dp_oracle(a: list[str], b: list[str]) -> int:
 def exact_sum(terms) -> float:
     """The exact sum of the floats ``terms``, rounded once to a float."""
     return float(sum(map(Fraction, terms)))
+
+
+# --- text a reply may hold ----------------------------------------------------
+
+#: Reply text with lone surrogates, but no lone high surrogate directly
+#: followed by a low one: that pair reads back as one character, as in any JSON.
+reply_text = st.text(
+    st.one_of(
+        st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff", "😀", '"', "\\", "\n", "\u2028"]),
+        st.characters(exclude_categories=()),
+    ),
+).map(lambda text: re.sub("([\ud800-\udbff])(?=[\udc00-\udfff])", "\\1x", text))
 
 
 # --- cache-key oracle ---------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import summit.backend as backend_module
-from helpers import CountingHashlib, FakeTransport, cache_key_oracle, no_sleep, write_script
+from helpers import CountingHashlib, FakeTransport, cache_key_oracle, no_sleep, reply_text, write_script
 from summit.backend import (
     CachedBackend,
     ChatMessage,
@@ -535,18 +535,8 @@ def test_cache_tolerates_torn_tail(tmp_path, caplog):
         assert f"skipping malformed cache record at {path}:3" in caplog.text
 
 
-#: Reply text with lone surrogates, but no lone high surrogate directly
-#: followed by a low one: that pair reads back as one character, as in any JSON.
-_reply_text = st.text(
-    st.one_of(
-        st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff", "😀", '"', "\\", "\n", "\u2028"]),
-        st.characters(exclude_categories=()),
-    ),
-).map(lambda text: re.sub("([\ud800-\udbff])(?=[\udc00-\udfff])", "\\1x", text))
-
-
 @settings(max_examples=200)  # each example writes and reloads a file
-@given(_reply_text, st.integers(min_value=0), st.integers(min_value=0), st.sampled_from(ServedFrom))
+@given(reply_text, st.integers(min_value=0), st.integers(min_value=0), st.sampled_from(ServedFrom))
 def test_get_returns_the_replys_text_and_token_counts(text, prompt_tokens, completion_tokens, served_from):
     response = CompletionResponse(text, prompt_tokens, completion_tokens, served_from)
     with tempfile.TemporaryDirectory() as directory:

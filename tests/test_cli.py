@@ -955,6 +955,17 @@ def test_report_csv_output(runner, tmp_path):
     assert content[1] == "runA,83.33,4.10"
 
 
+def test_report_prints_and_writes_a_lone_surrogate_in_a_run_name_as_its_escape(runner, tmp_path):
+    write_stats(tmp_path / "runA", "x\ud800", {"rouge1": cell(0.5)})
+    result = runner.invoke(main, ["report", str(tmp_path / "runA")])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[2].split() == ["x\\ud800", "50.00"]
+    csv_path = tmp_path / "table.csv"
+    result = runner.invoke(main, ["report", str(tmp_path / "runA"), "--csv", str(csv_path)])
+    assert result.exit_code == 0, result.output
+    assert csv_path.read_text(encoding="utf-8").splitlines() == ["run,R1", "x\\ud800,50.00"]
+
+
 def test_report_include_init_adds_rows(runner, tmp_path):
     write_stats(
         tmp_path / "runA", "runA",

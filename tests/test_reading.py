@@ -1,20 +1,24 @@
-"""The one reading rule every summit JSON file is read by: its header, and
-the error that names a bad line."""
+"""The one rule every summit JSON file is read and written by: its header,
+the error that names a bad line, and the writers whose files read back as
+written."""
 
 from __future__ import annotations
 
+import ast
 import json
 import logging
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import summit
+from helpers import reply_text
 from summit.cache import ResponseCache
 from summit.corpus import load_corpus
-from summit.errors import ConfigError, SchemaViolation
+from summit.errors import ConfigError, SchemaViolation, read_json, read_json_lines, write_json, write_json_lines
 from summit.experiment import load_exemplars
 from summit.trace_io import read_trace
 
@@ -155,3 +159,46 @@ def test_an_empty_cache_file_loads_as_empty_but_a_blank_first_line_is_refused(tm
     path.write_text('\n{"schema": "summit/cache", "version": 1}\n', encoding="utf-8")
     with pytest.raises(ConfigError, match=f"{path}:1 is not valid JSON"):
         ResponseCache(path)
+
+
+# --- the writing rule ------------------------------------------------------------
+
+#: JSON values whose strings, keys included, hold what a reply may.
+_written_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | reply_text,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(reply_text, children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200)  # each example writes and reads back two files
+@given(values=st.lists(_written_values, max_size=4), headed=st.booleans())
+def test_what_the_writers_write_reads_back_as_written(values, headed):
+    header = {"schema": "summit/drawn", "version": 1} if headed else None
+    with tempfile.TemporaryDirectory() as directory:
+        lines, document = Path(directory) / "values.jsonl", Path(directory) / "values.json"
+        write_json_lines(lines, values, header)
+        write_json(document, values)
+        assert [value for _, value in read_json_lines(lines, header)] == values
+        assert read_json(document) == values
+
+
+def _writes(source: str) -> list[int]:
+    """The lines of ``source`` that open a file other than to read it, or write one whole."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        # open(path, mode) or path.open(mode): a mode, when given, must be a string that only reads.
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[isinstance(node.func, ast.Name) :][:1]
+        reads = all(isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt") for mode in modes)
+        if name in ("write_text", "write_bytes") or (name == "open" and not reads):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_module_but_errors_writes_a_file():
+    package = Path(summit.__file__).parent
+    writers = [path.name for path in sorted(package.rglob("*.py")) if _writes(path.read_text(encoding="utf-8"))]
+    assert writers == ["errors.py"]

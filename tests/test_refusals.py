@@ -175,7 +175,12 @@ ROWS = [
     Row("knowledge-endpoint-a-number", RUN, r"error: endpoint must be of type str, not int 5", manifest={"knowledge": {"endpoint": 5}}),
     Row("section-not-a-mapping", RUN, r"error: backend must be a mapping, not list \[1\]", manifest={"backend": [1]}),
     # summarize's config file.
-    Row("config-not-yaml", CONFIG, r"(?s)error: config file config\.yaml is not valid YAML: .*", files={"config.yaml": "backend: [1\n"}),
+    Row("config-not-yaml", CONFIG,
+        r"error: config file config\.yaml is not valid YAML: expected ',' or '\]', but got '<stream end>': line 2 column 1",
+        files={"config.yaml": "backend: [1\n"}),
+    Row("config-nul", CONFIG,
+        r"error: config file config\.yaml is not valid YAML: unacceptable character #x0000: special characters are not allowed",
+        files={"config.yaml": "backend: \0\n"}),
     Row("config-not-a-mapping", CONFIG, r"error: config file config\.yaml must be a mapping at the top level", files={"config.yaml": "- 1\n"}),
     Row("config-section-not-a-mapping", CONFIG, r"error: backend must be a mapping, not list \[1\]", files={"config.yaml": "backend: [1]\n"}),
     Row("config-knowledge-not-a-mapping", CONFIG, r"error: knowledge must be a mapping, not int 3", files={"config.yaml": "knowledge: 3\n"}),
@@ -206,7 +211,8 @@ ROWS = [
         r"error: live mode requires a base URL \(--base-url, backend\.base_url or SUMMIT_BASE_URL\)", env={"SUMMIT_BASE_URL": None}),
     Row("sample-n-0", RUN, r"error: invalid manifest manifest\.json: sample size must be positive", manifest={"sample": {"n": 0}}),
     Row("shots-negative", RUN, r"error: shots must be >= 0", manifest={"session": {"shots": -1}}),
-    Row("topic-index-negative", RUN, r"error: topic_index must be >= 0", manifest={"session": {"topic_index": -1}}),
+    Row("topic-index-negative", RUN, r"error: topic_index must be 0 or 1, not -1", manifest={"session": {"topic_index": -1}}),
+    Row("topic-index-2", RUN, r"error: topic_index must be 0 or 1, not 2", manifest={"session": {"topic_index": 2}}),
     Row("session-max-iterations-0", RUN, r"error: invalid session template: max_iterations must be >= 1",
         manifest={"session": {"max_iterations": 0}}),
     Row("session-temperature-nan", RUN, r"error: invalid session template: temperature must be >= 0 and finite, not nan",
