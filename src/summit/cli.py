@@ -39,18 +39,25 @@ _PREFIXES = {SummitError.exit_code: "internal error", EXIT_BACKEND: "backend err
 _SESSION_DEFAULTS = SessionConfig._field_defaults
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """Print ``message`` to sys.stdout, or sys.stderr, as it is at call time,
+    so that the error handler ``main`` sets applies. click's own stream for
+    an ASCII stdout would print a character it cannot encode as "?"."""
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _handle_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except SummitError as exc:
-            click.echo(f"{_PREFIXES.get(exc.exit_code, 'error')}: {exc}", err=True)
+            _echo(f"{_PREFIXES.get(exc.exit_code, 'error')}: {exc}", err=True)
             sys.exit(exc.exit_code)
         except OSError as exc:
             if exc.filename is None:  # no path to name: not an input error
                 raise
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
 
     return wrapper
@@ -136,8 +143,8 @@ def summarize(
             response_cache.close()
     if trace_out:
         write_trace(trace, trace_out)
-        click.echo(f"trace written to {trace_out}", err=True)
-    click.echo(trace.final_summary.text)
+        _echo(f"trace written to {trace_out}", err=True)
+    _echo(trace.final_summary.text)
 
 
 def _load_manifest(manifest_path, mode, out, workers):
@@ -156,12 +163,12 @@ def _load_manifest(manifest_path, mode, out, workers):
 
 def _finish_experiment(result):
     stats = result.stats
-    click.echo(
+    _echo(
         f"completed {stats['run']['completed']}/{stats['run']['sampled']} documents; "
         f"outputs in {result.output_dir}"
     )
     if result.failures:
-        click.echo(f"{len(result.failures)} document(s) failed; see failures.jsonl", err=True)
+        _echo(f"{len(result.failures)} document(s) failed; see failures.jsonl", err=True)
         sys.exit(EXIT_PARTIAL)
 
 
@@ -200,10 +207,10 @@ def replay(manifest_path, out, workers):
 def report(run_dirs, csv_path, include_init):
     """Print a metrics table over one or more run directories."""
     rows = build_rows(list(run_dirs), include_init=include_init)
-    click.echo(format_table(rows))
+    _echo(format_table(rows))
     if csv_path:
         write_csv(rows, csv_path)
-        click.echo(f"csv written to {csv_path}", err=True)
+        _echo(f"csv written to {csv_path}", err=True)
 
 
 @main.command()
@@ -212,7 +219,7 @@ def report(run_dirs, csv_path, include_init):
 def estimate(manifest_path):
     """Project worst-case backend call counts for a manifest."""
     manifest = RunManifest.from_file(manifest_path)
-    click.echo(json.dumps(estimate_calls(manifest), indent=2, sort_keys=True))
+    _echo(json.dumps(estimate_calls(manifest), indent=2, sort_keys=True))
 
 
 @main.command()
@@ -226,7 +233,7 @@ def convert(source, dest, source_format):
 
     count = convert_corpus(source, dest, source_format)
     stats = word_stats(load_corpus(dest).records)
-    click.echo(
+    _echo(
         f"wrote {count} records to {dest} "
         f"(mean words: document {stats.mean_document_words:.1f}, "
         f"summary {stats.mean_summary_words:.1f})"

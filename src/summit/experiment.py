@@ -195,19 +195,23 @@ _KNOWN_KEYS = key_paths(
 
 def load_exemplars(path: str | Path, shots: int) -> list[Exemplar]:
     """First ``shots`` entries of a JSONL exemplar file; none for 0. Each
-    is an object with a string ``document`` and ``summary`` and a string or
-    null ``explanation`` (ConfigError naming the file and line otherwise)."""
-    exemplars = []
+    is an object with a string ``document``, ``summary`` and ``explanation``
+    (ConfigError naming the file and line otherwise). Every session puts the
+    exemplars into the evaluator's prompt, which needs the explanation; it
+    is checked once every line is read, so a line that cannot be read is
+    named first."""
+    numbered = []
     # Sliced, so that no line after the last exemplar taken is read.
     for lineno, raw in islice(read_json_lines(path), shots):
         raw = mapping(raw, f"exemplar at {path}:{lineno}")
         exemplar = Exemplar(raw.get("document"), raw.get("summary"), raw.get("explanation"))
         if not isinstance(exemplar.document, str) or not isinstance(exemplar.summary, str):
             raise ConfigError(f"exemplar at {path}:{lineno} needs a string document and summary")
-        if not isinstance(exemplar.explanation, (str, type(None))):
-            raise ConfigError(f"exemplar at {path}:{lineno} has an explanation that is not a string")
-        exemplars.append(exemplar)
-    return exemplars
+        numbered.append((lineno, exemplar))
+    for lineno, exemplar in numbered:
+        if not isinstance(exemplar.explanation, str):
+            raise ConfigError(f"exemplar at {path}:{lineno} needs a string explanation for the evaluator's prompt")
+    return [exemplar for _, exemplar in numbered]
 
 
 def estimate_calls(manifest: RunManifest) -> dict:

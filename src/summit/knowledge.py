@@ -14,7 +14,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Protocol
 
 from .backend import DEFAULT_MAX_ATTEMPTS, Transport, post_json, requests_transport
-from .errors import BackendError, RemoteUnavailable
+from .errors import ESCAPING, BackendError, RemoteUnavailable
 
 NAIVE_CONFIDENCE = 0.5
 PROMPT_TRIPLET_LIMIT = 20
@@ -155,7 +155,7 @@ class RemoteExtractor:
 
     def extract(self, text: str) -> list[Triplet]:
         try:
-            payload = self._post(text.encode("utf-8"))
+            payload = self._post(text.encode("utf-8", ESCAPING))
         except BackendError as exc:
             raise RemoteUnavailable(f"annotation server unavailable: {exc}") from exc
         if not isinstance(payload, dict):

@@ -8,6 +8,7 @@ faithfulness column, when present, is the mean remote-scorer output.
 from __future__ import annotations
 
 import csv
+import unicodedata
 from pathlib import Path
 from typing import NamedTuple
 
@@ -105,17 +106,24 @@ def _grid(rows: list[ReportRow]) -> tuple[list[str], list[list[str]]]:
     return [header for _, header, _ in columns], body
 
 
+def _printed_width(text: str) -> int:
+    """The columns ``text`` takes when printed: a lone surrogate prints as
+    its six-character escape, and a wide or full-width character takes two."""
+    return sum(
+        6 if "\ud800" <= ch <= "\udfff" else 2 if unicodedata.east_asian_width(ch) in ("W", "F") else 1
+        for ch in text
+    )
+
+
 def format_table(rows: list[ReportRow]) -> str:
     headers, body = _grid(rows)
     headers = ["Run"] + headers
-    widths = [max(len(str(cell)) for cell in col) for col in zip(*([headers] + body))]
-    lines = [
-        "  ".join(header.ljust(width) for header, width in zip(headers, widths)).rstrip(),
-        "  ".join("-" * width for width in widths),
-    ]
-    for cells in body:
-        lines.append("  ".join(str(c).ljust(width) for c, width in zip(cells, widths)).rstrip())
-    return "\n".join(lines)
+    widths = [max(map(_printed_width, col)) for col in zip(headers, *body)]
+
+    def line(cells: list[str]) -> str:
+        return "  ".join(cell + " " * (width - _printed_width(cell)) for cell, width in zip(cells, widths)).rstrip()
+
+    return "\n".join([line(headers), "  ".join("-" * width for width in widths), *map(line, body)])
 
 
 def write_csv(rows: list[ReportRow], path: str | Path) -> None:

@@ -2,10 +2,10 @@
 
 One session alternates summarize -> evaluate -> refine over a completion
 backend until the evaluator asks to stop, its feedback is keep-only, or the
-iteration budget runs out. The summarizer and evaluator each hold their own
-full chat history (system prompt plus all prior turns), so refine prompts
-never re-embed the document and re-evaluations see the revision history.
-Every evaluate prompt embeds the document again.
+iteration budget runs out. ``run_session`` keeps the summarizer's and the
+evaluator's full chat histories (system prompt plus all prior turns) apart,
+so refine prompts never re-embed the document and re-evaluations see the
+revision history. Every evaluate prompt embeds the document again.
 """
 
 from __future__ import annotations
@@ -57,54 +57,6 @@ def should_stop(feedback: Feedback, iteration: int, config: SessionConfig) -> St
     return None
 
 
-class ChatThread:
-    """Accumulated conversation state for one role within one session."""
-
-    def __init__(
-        self,
-        role: PromptRole,
-        config: SessionConfig,
-        context: dict[str, str],
-        usage: Usage,
-        document_id: str = "",
-    ):
-        self.role = role
-        self.config = config
-        self.context = context
-        self.usage = usage
-        self.document_id = document_id
-        self.messages: list[ChatMessage] = []
-        self.last_request: CompletionRequest | None = None
-
-    def post(
-        self,
-        stage: Stage,
-        extra: dict[str, str],
-        iteration: int,
-        prompts: PromptRegistry,
-        backend: CompletionBackend,
-    ) -> str:
-        rendered = prompts.render(self.role, self.config.setting, stage, {**self.context, **extra})
-        if not self.messages:
-            self.messages.append(ChatMessage(Role.SYSTEM, rendered.system))
-        self.messages.append(ChatMessage(Role.USER, rendered.user, rendered.user_parts))
-        request = CompletionRequest(
-            model_id=self.config.model_id,
-            messages=tuple(self.messages),
-            temperature=self.config.temperature,
-            max_output_tokens=self.config.max_output_tokens,
-            request_tag=f"{self.document_id}/{stage.value}/{iteration}",
-            parent=self.last_request,
-        )
-        response = backend.complete(request)
-        self.last_request = request
-        self.messages.append(ChatMessage(Role.ASSISTANT, response.text))
-        self.usage.prompt_tokens += response.prompt_tokens
-        self.usage.completion_tokens += response.completion_tokens
-        self.usage.calls[response.served_from.value] += 1
-        return response.text
-
-
 def _base_context(doc: Document, config: SessionConfig, extractor: TripletExtractor | None) -> dict[str, str]:
     context = {"document": doc.text, "stop_marker": config.stop_marker}
     if config.setting is Setting.CONTROL:
@@ -142,39 +94,60 @@ def run_session(
         usage = Usage()
     base = _base_context(doc, config, extractor)
     steps: list[TraceStep] = []
+    instructions = {
+        PromptRole.SUMMARIZER: SUMMARIZER_FORMAT_INSTRUCTIONS,
+        PromptRole.EVALUATOR: EVALUATOR_FORMAT_INSTRUCTIONS,
+    }
+    contexts = {
+        role: {**base, "format_instructions": text, "exemplars": format_exemplars(config.exemplars, role)}
+        for role, text in instructions.items()
+    }
+    histories: dict[PromptRole, list[ChatMessage]] = {role: [] for role in instructions}
+    parents: dict[PromptRole, CompletionRequest | None] = dict.fromkeys(instructions)
 
-    def thread(role: PromptRole, format_instructions: str) -> ChatThread:
-        exemplars = format_exemplars(config.exemplars, role)
-        context = {**base, "format_instructions": format_instructions, "exemplars": exemplars}
-        return ChatThread(role, config, context, usage, doc.id)
-
-    def post(chat: ChatThread, stage: Stage, iteration: int, **extra: str) -> str:
-        """Make one backend call, then stop the session if it crossed the token budget."""
-        text = chat.post(stage, extra, iteration, prompts, backend)
+    def post(role: PromptRole, stage: Stage, iteration: int, **slots: str) -> str:
+        """Make one backend call in ``role``'s history, then stop the session if it crossed the token budget."""
+        rendered = prompts.render(role, config.setting, stage, {**contexts[role], **slots})
+        messages = histories[role]
+        if not messages:
+            messages.append(ChatMessage(Role.SYSTEM, rendered.system))
+        messages.append(ChatMessage(Role.USER, rendered.user, rendered.user_parts))
+        request = CompletionRequest(
+            model_id=config.model_id,
+            messages=tuple(messages),
+            temperature=config.temperature,
+            max_output_tokens=config.max_output_tokens,
+            request_tag=f"{doc.id}/{stage.value}/{iteration}",
+            parent=parents[role],
+        )
+        response = backend.complete(request)
+        parents[role] = request
+        messages.append(ChatMessage(Role.ASSISTANT, response.text))
+        usage.prompt_tokens += response.prompt_tokens
+        usage.completion_tokens += response.completion_tokens
+        usage.calls[response.served_from.value] += 1
         if config.token_budget is not None and usage.total_tokens > config.token_budget:
             raise BudgetExceeded(
                 f"token budget of {config.token_budget} exceeded ({usage.total_tokens} tokens used)",
                 partial_trace=list(steps),
             )
-        return text
+        return response.text
 
-    summarizer = thread(PromptRole.SUMMARIZER, SUMMARIZER_FORMAT_INSTRUCTIONS)
-    evaluator = thread(PromptRole.EVALUATOR, EVALUATOR_FORMAT_INSTRUCTIONS)
-    draft = Summary(post(summarizer, Stage.SUMMARIZE, 0), 0, SummaryOrigin.INITIAL)
+    draft = Summary(post(PromptRole.SUMMARIZER, Stage.SUMMARIZE, 0), 0, SummaryOrigin.INITIAL)
     if not has_tokens(doc.text, config.min_document_tokens):
         steps.append(TraceStep(draft, _synthetic_stop_feedback(config)))
         return SessionTrace(doc.id, steps, StopReason.EVALUATOR_STOP, usage)
 
     stopped_by = StopReason.MAX_ITERATIONS
     for iteration in range(1, config.max_iterations + 1):
-        raw = post(evaluator, Stage.EVALUATE, iteration, summary=draft.text)
+        raw = post(PromptRole.EVALUATOR, Stage.EVALUATE, iteration, summary=draft.text)
         feedback = parse_feedback(raw, config.stop_marker, strict=config.strict_parsing)
         steps.append(TraceStep(draft, feedback))
         reason = should_stop(feedback, iteration, config)
         if reason is not None:
             stopped_by = reason
             break
-        text = post(summarizer, Stage.REFINE, iteration, suggestions=feedback.raw)
+        text = post(PromptRole.SUMMARIZER, Stage.REFINE, iteration, suggestions=feedback.raw)
         origin = SummaryOrigin.UNCHANGED if text == draft.text else SummaryOrigin.REFINED
         draft = Summary(text, iteration, origin)
 

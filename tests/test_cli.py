@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
+import unicodedata
 from importlib import resources
 from pathlib import Path
 
@@ -281,6 +283,20 @@ def test_summarize_prints_a_lone_surrogate_as_its_escape(runner, tmp_path):
     assert read_trace(tmp_path / "trace.jsonl")[-1].summary_text == "Init \udfff summary."
 
 
+def test_summarize_under_an_ascii_stdout_prints_escapes_not_question_marks(tmp_path):
+    # In a subprocess, since click swaps an ASCII stdout for its own stream only
+    # outside CliRunner.
+    script = [*QUALITY_SCRIPT[:2], dict(QUALITY_SCRIPT[2], response="Refined \udc80 café"), *QUALITY_SCRIPT[3:]]
+    args = ["summarize", "--doc", str(write_doc(tmp_path)), "--backend", "scripted"]
+    args += ["--script", str(write_script(tmp_path / "script.json", script))]
+    result = subprocess.run(
+        [sys.executable, "-m", "summit.cli", *args],
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONIOENCODING": "ascii"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"Refined \\udc80 caf\\xe9\n"
+
+
 # --- run-exp -----------------------------------------------------------------------
 
 
@@ -510,6 +526,21 @@ def test_a_failure_record_holding_a_lone_surrogate_is_written(runner, tmp_path):
     assert result.exit_code == EXIT_PARTIAL, result.output
     failures = [json.loads(line) for line in (tmp_path / "out" / "failures.jsonl").read_text().splitlines()]
     assert sorted(f["document_id"] for f in failures) == sorted(r.id for r in records)
+
+
+def test_a_lone_surrogate_reaches_a_down_extractor_escaped_and_the_run_falls_back(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(knowledge, "RemoteExtractor", functools.partial(knowledge.RemoteExtractor, sleep=no_sleep))
+    records = make_corpus_file(tmp_path / "corpus.jsonl", 2)
+    records = [r._replace(document=f"{r.document} Cut \ud800 here.") for r in records]
+    write_corpus(records, tmp_path / "corpus.jsonl")
+    path = make_manifest(tmp_path, n=2, corpus_records=records, setting="faithfulness")
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["knowledge"] = {"endpoint": "http://127.0.0.1:9/"}  # the discard port: nothing answers
+    data["backend"]["max_attempts"] = 2
+    path.write_text(json.dumps(data), encoding="utf-8")
+    result = runner.invoke(main, ["run-exp", str(path)])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "out" / "stats.json").read_text(encoding="utf-8"))["run"]["completed"] == 2
 
 
 def test_replay_without_prior_cache_fails_as_backend_error(runner, tmp_path):
@@ -848,7 +879,7 @@ def test_manifests_and_backend_settings_compare_by_value_and_check_their_copies(
 @pytest.mark.parametrize("shots, expected", [(0, 0), (1, 1), (2, 2), (5, 3)])
 def test_load_exemplars_takes_the_first_shots_entries(tmp_path, shots, expected):
     path = tmp_path / "exemplars.jsonl"
-    lines = [json.dumps({"document": f"d{i}", "summary": f"s{i}"}) + "\n" for i in range(3)]
+    lines = [json.dumps({"document": f"d{i}", "summary": f"s{i}", "explanation": f"e{i}"}) + "\n" for i in range(3)]
     path.write_text("\n".join(lines), encoding="utf-8")  # with blank lines between
     exemplars = experiment.load_exemplars(path, shots)
     assert [e.document for e in exemplars] == [f"d{i}" for i in range(expected)]
@@ -955,15 +986,28 @@ def test_report_csv_output(runner, tmp_path):
     assert content[1] == "runA,83.33,4.10"
 
 
+def _printed_column(line: str, text: str) -> int:
+    """The terminal column at which ``text`` starts in ``line``: a wide character takes two."""
+    start = line.index(text)
+    return start + sum(unicodedata.east_asian_width(ch) in ("W", "F") for ch in line[:start])
+
+
 def test_report_prints_and_writes_a_lone_surrogate_in_a_run_name_as_its_escape(runner, tmp_path):
-    write_stats(tmp_path / "runA", "x\ud800", {"rouge1": cell(0.5)})
-    result = runner.invoke(main, ["report", str(tmp_path / "runA")])
+    write_stats(tmp_path / "runA", "x\ud800", {"rouge1": cell(0.5), "gpt_eval": cell(4.0)})
+    write_stats(tmp_path / "runB", "报告", {"rouge1": cell(0.25), "gpt_eval": cell(3.5)})
+    runs = [str(tmp_path / "runA"), str(tmp_path / "runB")]
+    result = runner.invoke(main, ["report", *runs])
     assert result.exit_code == 0, result.output
-    assert result.stdout.splitlines()[2].split() == ["x\\ud800", "50.00"]
+    header, _, *rows = result.stdout.splitlines()
+    assert [row.split() for row in rows] == [["x\\ud800", "50.00", "4.00"], ["报告", "25.00", "3.50"]]
+    for row, values in zip(rows, [("50.00", "4.00"), ("25.00", "3.50")]):
+        assert [_printed_column(row, v) for v in values] == [_printed_column(header, h) for h in ("R1", "GPT-Eval")]
     csv_path = tmp_path / "table.csv"
-    result = runner.invoke(main, ["report", str(tmp_path / "runA"), "--csv", str(csv_path)])
+    result = runner.invoke(main, ["report", *runs, "--csv", str(csv_path)])
     assert result.exit_code == 0, result.output
-    assert csv_path.read_text(encoding="utf-8").splitlines() == ["run,R1", "x\\ud800,50.00"]
+    assert csv_path.read_text(encoding="utf-8").splitlines() == [
+        "run,R1,GPT-Eval", "x\\ud800,50.00,4.00", "报告,25.00,3.50"
+    ]
 
 
 def test_report_include_init_adds_rows(runner, tmp_path):

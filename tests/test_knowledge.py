@@ -204,6 +204,13 @@ def test_remote_extractor_http_error():
         extractor.extract("text")
 
 
+def test_remote_extractor_posts_a_lone_surrogate_as_its_escape():
+    transport = FakeTransport([(200, json.dumps({"sentences": []}))])
+    remote = RemoteExtractor("http://annotate", transport=transport, sleep=no_sleep)
+    assert remote.extract("Obiang \ud800 joined Sampdoria.") == []
+    assert transport.calls[0]["data"] == b"Obiang \\ud800 joined Sampdoria."
+
+
 def test_fallback_extractor_degrades_to_naive():
     remote = _remote(ConnectionError("down"))
     triplets = FallbackExtractor(remote).extract("Obiang joined Sampdoria in 2010.")

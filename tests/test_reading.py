@@ -24,7 +24,7 @@ from summit.trace_io import read_trace
 
 CORPUS_RECORD = {"id": "drawn", "document": "a drawn document", "summaries": ["a drawn summary"], "topics": []}
 CACHE_RECORD = {"key": "drawn", "request": {}, "response": {"text": "drawn", "usage": {"prompt_tokens": 1}}}
-EXEMPLAR = {"document": "a drawn document", "summary": "a drawn summary", "explanation": None}
+EXEMPLAR = {"document": "a drawn document", "summary": "a drawn summary", "explanation": "a drawn explanation"}
 TRACE_RECORD = {
     "document_id": "d", "iteration": 0, "summary_text": "s", "feedback_raw": "f", "edit_ops": [],
     "expected_score": 3.0, "stopped_by": "evaluator_stop", "usage": {"prompt_tokens": 1, "completion_tokens": 1, "cache_hits": 0},

@@ -159,6 +159,13 @@ ROWS = [
         files={"exemplars.jsonl": '{"document": 5, "summary": "s"}\n'}, manifest=EXEMPLARS),
     Row("exemplar-not-an-object", RUN, r"error: exemplar at <dir>/exemplars\.jsonl:1 must be a mapping, not list \[1, 2\]",
         files={"exemplars.jsonl": "[1, 2]\n"}, manifest=EXEMPLARS),
+    Row("exemplar-without-explanation", RUN,
+        r"error: exemplar at <dir>/exemplars\.jsonl:2 needs a string explanation for the evaluator's prompt",
+        files={"exemplars.jsonl": '{"document": "d", "summary": "s", "explanation": "e"}\n{"document": "d", "summary": "s"}\n'},
+        manifest=EXEMPLARS),
+    Row("summarize-exemplar-without-explanation", (*SUMMARIZE, "--exemplars", "exemplars.jsonl", "--cache", "cache.jsonl"),
+        r"error: exemplar at exemplars\.jsonl:1 needs a string explanation for the evaluator's prompt",
+        files={"exemplars.jsonl": '{"document": "d", "summary": "s", "explanation": null}\n'}),
     Row("summarize-exemplar-not-an-object", (*SUMMARIZE, "--exemplars", "exemplars.jsonl"),
         r"error: exemplar at exemplars\.jsonl:1 must be a mapping, not list \[1, 2\]", files={"exemplars.jsonl": "[1, 2]\n"}),
     # Manifest keys of a wrong name or type.
