@@ -52,14 +52,15 @@ class ResponseCache:
 
             logging.getLogger(__name__).warning("skipping malformed cache record at %s:%d", self.path, lineno)
 
+        cached = ServedFrom.CACHE  # an enum member costs an attribute lookup each time it is named
         for lineno, record in read_json_lines(self.path, CACHE_HEADER, on_error=skip):
             try:
                 key, response = record["key"], record["response"]
                 text = response["text"]
                 prompt, completion = token_counts(response.get("usage"))
-                if type(text) is not str:
-                    raise ValueError("text is not a string")
-                self._entries[key] = CompletionResponse(text, prompt, completion, ServedFrom.CACHE)
+                if type(key) is not str or type(text) is not str:
+                    raise ValueError("key or text is not a string")
+                self._entries[key] = CompletionResponse(text, prompt, completion, cached)
             except (ValueError, KeyError, TypeError, AttributeError):
                 skip(lineno)
 

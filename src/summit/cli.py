@@ -207,7 +207,7 @@ def replay(manifest_path, out, workers):
 def report(run_dirs, csv_path, include_init):
     """Print a metrics table over one or more run directories."""
     rows = build_rows(list(run_dirs), include_init=include_init)
-    _echo(format_table(rows))
+    _echo(format_table(rows, sys.stdout.encoding or "utf-8"))
     if csv_path:
         write_csv(rows, csv_path)
         _echo(f"csv written to {csv_path}", err=True)

@@ -56,6 +56,11 @@ class LoadResult(NamedTuple):
     errors: list[tuple[int, str]]
 
 
+def _blank(value) -> bool:
+    """Whether ``value`` is not a string holding more than whitespace."""
+    return not isinstance(value, str) or not value or value.isspace()
+
+
 def _validate_record(raw: dict, schema: CorpusSchema) -> DatasetRecord:
     try:
         rec_id = raw["id"]
@@ -66,7 +71,11 @@ def _validate_record(raw: dict, schema: CorpusSchema) -> DatasetRecord:
     if isinstance(rec_id, bool) or not isinstance(rec_id, (str, int, float)):
         raise ValueError(f"id {rec_id!r} is not a string or a number")
     rec_id = str(rec_id)
-    summaries, topics = ([] if raw.get(key) is None else raw[key] for key in ("summaries", "topics"))
+    summaries, topics = raw.get("summaries"), raw.get("topics")
+    if summaries is None:
+        summaries = []
+    if topics is None:
+        topics = []
     if not isinstance(summaries, list) or not isinstance(topics, list):
         raise ValueError("summaries and topics must be JSON arrays of strings")
     # <id>.jsonl names the trace file: the file system's encoding must encode
@@ -76,13 +85,13 @@ def _validate_record(raw: dict, schema: CorpusSchema) -> DatasetRecord:
         name = os.fsencode(f"{rec_id}.jsonl")
     except UnicodeEncodeError:
         name = None
-    if name is None or rec_id in ("", ".", "..") or any(c in rec_id for c in "/\\\0") or len(name) > 255:
+    if name is None or rec_id in ("", ".", "..") or "/" in rec_id or "\\" in rec_id or "\0" in rec_id or len(name) > 255:
         raise ValueError(f"id {rec_id!r} cannot name a trace file")
-    if not isinstance(document, str) or not document.strip():
+    if _blank(document):
         raise ValueError("document must be a non-empty string")
-    if not summaries or not all(isinstance(s, str) and s.strip() for s in summaries):
+    if not summaries or any(map(_blank, summaries)):
         raise ValueError("at least one non-empty reference summary is required")
-    if not all(isinstance(t, str) and t.strip() for t in topics):
+    if any(map(_blank, topics)):
         raise ValueError("topics must be non-empty strings")
     if schema is CorpusSchema.NEWTS:
         if len(topics) != 2 or len(summaries) != 2:

@@ -137,6 +137,11 @@ def read_json(path: Path, header: dict | None = None):
     return value
 
 
+#: The whitespace JSON allows around a value, and the decoder of one value at an index.
+_JSON_WHITESPACE = " \t\r\n"
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_json_lines(path, header: dict | None = None, on_error=None, header_optional: bool = False):
     """Yield ``(line number, value)`` for each non-blank line of the JSON-lines
     file ``path`` after its ``header``, the first line, blank or not (with
@@ -147,8 +152,12 @@ def read_json_lines(path, header: dict | None = None, on_error=None, header_opti
     with Path(path).open("rb") as fh:
         for lineno, data in enumerate(fh, start=1):
             try:
-                # One decode and one parse per good line; a bad one is parsed again for its message.
-                value = json.loads(data.decode("utf-8"))
+                # What json.loads accepts, without its Python around the C scanner: one
+                # value between JSON whitespace. A bad line is parsed again for its message.
+                text = data.decode("utf-8")
+                value, end = _raw_decode(text, len(text) - len(text.lstrip(_JSON_WHITESPACE)))
+                if text[end:].strip(_JSON_WHITESPACE):
+                    raise ValueError("extra data")
             except (ValueError, RecursionError):
                 if data.isspace() and not (lineno == 1 and headed):
                     continue

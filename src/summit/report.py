@@ -12,7 +12,7 @@ import unicodedata
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import MissingStats, open_for_writing, read_json
+from .errors import ESCAPING, MissingStats, open_for_writing, read_json
 from .experiment import STATS_HEADER
 
 MISSING_CELL = "—"
@@ -106,22 +106,23 @@ def _grid(rows: list[ReportRow]) -> tuple[list[str], list[list[str]]]:
     return [header for _, header, _ in columns], body
 
 
-def _printed_width(text: str) -> int:
-    """The columns ``text`` takes when printed: a lone surrogate prints as
-    its six-character escape, and a wide or full-width character takes two."""
-    return sum(
-        6 if "\ud800" <= ch <= "\udfff" else 2 if unicodedata.east_asian_width(ch) in ("W", "F") else 1
-        for ch in text
-    )
+def _printed_width(text: str, encoding: str) -> int:
+    """The columns ``text`` takes when printed to a stream of ``encoding``:
+    a character it cannot encode prints as its escape, such as ``\\xe9``,
+    and a wide or full-width character takes two."""
+    printed = text.encode(encoding, ESCAPING).decode(encoding)
+    return sum(2 if unicodedata.east_asian_width(ch) in ("W", "F") else 1 for ch in printed)
 
 
-def format_table(rows: list[ReportRow]) -> str:
+def format_table(rows: list[ReportRow], encoding: str) -> str:
+    """The table of ``rows``, its columns aligned as printed to a stream of ``encoding``."""
     headers, body = _grid(rows)
     headers = ["Run"] + headers
-    widths = [max(map(_printed_width, col)) for col in zip(headers, *body)]
+    widths = [max(_printed_width(cell, encoding) for cell in col) for col in zip(headers, *body)]
 
     def line(cells: list[str]) -> str:
-        return "  ".join(cell + " " * (width - _printed_width(cell)) for cell, width in zip(cells, widths)).rstrip()
+        padded = (cell + " " * (width - _printed_width(cell, encoding)) for cell, width in zip(cells, widths))
+        return "  ".join(padded).rstrip()
 
     return "\n".join([line(headers), "  ".join("-" * width for width in widths), *map(line, body)])
 

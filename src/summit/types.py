@@ -61,14 +61,15 @@ def token_counts(usage) -> tuple[int, int]:
     as a live body or a cache record gives it.
 
     Each count is an ``int`` (not a ``bool``) of 0 or more; a missing count,
-    or a missing ``usage``, is 0. ValueError otherwise."""
-    usage = usage or {}
+    or a missing (``None``) ``usage``, is 0. ValueError otherwise."""
+    if usage is None:
+        return 0, 0
     if not isinstance(usage, dict):
         raise ValueError("usage is not an object")
-    counts = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
-    if any(type(count) is not int or count < 0 for count in counts):
-        raise ValueError(f"token counts must be integers of 0 or more, not {counts[0]!r} and {counts[1]!r}")
-    return counts
+    prompt, completion = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
+    if type(prompt) is not int or type(completion) is not int or prompt < 0 or completion < 0:
+        raise ValueError(f"token counts must be integers of 0 or more, not {prompt!r} and {completion!r}")
+    return prompt, completion
 
 
 class EditOp(NamedTuple):

@@ -30,7 +30,7 @@ from summit.backend import (
     estimate_tokens,
     load_script,
 )
-from summit.cache import ResponseCache
+from summit.cache import CACHE_HEADER, ResponseCache
 from summit.errors import (
     AuthError,
     BackendError,
@@ -43,6 +43,7 @@ from summit.errors import (
 )
 from summit.knowledge import RemoteExtractor, Triplet
 from summit.metrics import FaithfulnessScorer
+from summit.types import token_counts
 
 
 def make_request(content="hello", tag="t1", system="sys", temperature=0.0):
@@ -399,10 +400,11 @@ def test_the_default_transport_gives_requests_post_the_bytes_and_headers(monkeyp
         json.dumps({"choices": [{"message": {"content": "x"}}], "usage": {"completion_tokens": 2.9}}),
         json.dumps({"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": "3"}}),
         json.dumps({"choices": [{"message": {"content": "x"}}], "usage": {"completion_tokens": True}}),
+        json.dumps({"choices": [{"message": {"content": "x"}}], "usage": False}),
     ],
     ids=[
         "null-content", "count-not-a-number", "usage-not-an-object",
-        "count-negative", "count-a-fraction", "count-a-numeric-string", "count-a-bool",
+        "count-negative", "count-a-fraction", "count-a-numeric-string", "count-a-bool", "usage-false",
     ],
 )
 def test_a_reply_the_cache_could_not_hold_is_a_transport_error(body):
@@ -560,9 +562,9 @@ def test_get_returns_the_replys_text_and_token_counts(text, prompt_tokens, compl
     "response",
     [None, "x", {"usage": {}}, {"text": 5}, {"text": "y", "usage": [1]}, {"text": "y", "usage": {"prompt_tokens": "x"}},
      {"text": "y", "usage": {"completion_tokens": 1.5}}, {"text": "y", "usage": {"prompt_tokens": True}},
-     {"text": "y", "usage": {"prompt_tokens": -5}}],
+     {"text": "y", "usage": {"prompt_tokens": -5}}, {"text": "y", "usage": []}],
     ids=["null", "string", "no-text", "text-not-a-string", "usage-not-an-object", "count-a-string", "count-a-float", "count-a-bool",
-         "count-negative"],
+         "count-negative", "usage-an-empty-array"],
 )
 def test_a_later_malformed_record_leaves_the_earlier_reply(tmp_path, caplog, response):
     path = tmp_path / "cache.jsonl"
@@ -575,6 +577,31 @@ def test_a_later_malformed_record_leaves_the_earlier_reply(tmp_path, caplog, res
     assert ResponseCache(path).get("k") == CompletionResponse("x", 0, 0, ServedFrom.CACHE)
     assert f"skipping malformed cache record at {path}:3" in caplog.text
     assert f"skipping malformed cache record at {path}:4" in caplog.text
+
+
+@pytest.mark.parametrize("key", [5, 1.5, True, None, ["k"], {"k": 1}], ids=["int", "float", "bool", "null", "array", "object"])
+def test_a_record_whose_key_is_not_a_string_is_skipped(tmp_path, caplog, key):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(
+        json.dumps(CACHE_HEADER) + "\n" + json.dumps({"key": key, "request": {}, "response": {"text": "y"}}) + "\n",
+        encoding="utf-8",
+    )
+    assert len(ResponseCache(path)) == 0
+    assert f"skipping malformed cache record at {path}:2" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "usage, counts",
+    [(None, (0, 0)), ({}, (0, 0)), ({"prompt_tokens": 3}, (3, 0)), ({"prompt_tokens": 0, "completion_tokens": 2}, (0, 2)),
+     (False, None), (0, None), ([], None), ("", None), (7, None), ([3], None)],
+    ids=["none", "empty", "prompt-only", "both", "false", "zero", "empty-array", "empty-string", "number", "array"],
+)
+def test_only_a_missing_usage_reads_as_zero_and_any_other_non_object_is_refused(usage, counts):
+    if counts is None:
+        with pytest.raises(ValueError, match="usage is not an object"):
+            token_counts(usage)
+    else:
+        assert token_counts(usage) == counts
 
 
 def test_a_header_that_is_not_an_object_is_not_a_cache_file(tmp_path):

@@ -1010,6 +1010,23 @@ def test_report_prints_and_writes_a_lone_surrogate_in_a_run_name_as_its_escape(r
     ]
 
 
+def test_report_columns_stay_aligned_under_an_ascii_stdout(tmp_path):
+    # In a subprocess, as an ASCII stdout is only set up outside CliRunner: "é"
+    # prints as the four-character \xe9 and the missing cell "—" as the six-character \u2014.
+    write_stats(tmp_path / "runA", "café", {"rouge1": cell(0.5), "gpt_eval": cell(4.0)})
+    write_stats(tmp_path / "runB", "plain", {"rouge1": cell(0.25), "rouge2": cell(0.1), "gpt_eval": cell(3.5)})
+    result = subprocess.run(
+        [sys.executable, "-m", "summit.cli", "report", str(tmp_path / "runA"), str(tmp_path / "runB")],
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONIOENCODING": "ascii"},
+    )
+    assert result.returncode == 0, result.stderr
+    header, _, *rows = result.stdout.decode("ascii").splitlines()
+    assert [row.split() for row in rows] == [["caf\\xe9", "50.00", "\\u2014", "4.00"], ["plain", "25.00", "10.00", "3.50"]]
+    columns = [match.start() for match in re.finditer(r"\S+", header)]
+    for row in rows:
+        assert [match.start() for match in re.finditer(r"\S+", row)] == columns
+
+
 def test_report_include_init_adds_rows(runner, tmp_path):
     write_stats(
         tmp_path / "runA", "runA",

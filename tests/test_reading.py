@@ -110,6 +110,61 @@ def test_each_line_reader_returns_or_names_the_bad_line(line, position):
             assert f"{exemplars}:{lineno - 1}" in str(exc)  # an exemplar file has no header
 
 
+#: Characters around a value: JSON's whitespace, whitespace that JSON is not (a
+#: vertical tab, a file separator, NEL, an ideographic space), a BOM and garbage.
+_padding = st.text(st.sampled_from(" \t\r\x0b\x0c\x1c\x85\u3000\ufeffx]}"), max_size=3)
+
+#: One UTF-8 line: a JSON value, or any text, between any padding.
+_text_lines = st.builds(
+    lambda before, body, after: (before + body + after).replace("\n", " "),
+    _padding,
+    st.one_of(
+        _json_values.map(lambda value: json.dumps(value, ensure_ascii=False)),
+        st.sampled_from(["NaN", "-Infinity", "[NaN]", "1e400", "[]", "{}", '""', "", "1 2", '{"a": 1}{}']),
+        st.text(st.characters(codec="utf-8"), max_size=20),
+    ),
+    _padding,
+)
+
+
+def _refusal(line: str) -> str:
+    """How ``read_json_lines`` names the line ``line``, which json.loads refuses."""
+    try:
+        json.loads(line.rstrip("\r"))
+    except json.JSONDecodeError as exc:
+        return f"not valid JSON: {exc.msg}: column {exc.pos + 1}"
+    except (ValueError, RecursionError) as exc:  # a number too long or nesting too deep
+        return f"not valid JSON: {exc}"
+    raise AssertionError(f"json.loads reads {line!r}")
+
+
+@given(line=_text_lines)
+@example(line="[" * 100_000)  # nesting deeper than the parser's recursion limit
+@example(line="1" * 5_000)  # an integer longer than int() converts
+@example(line="\ufeff{}")  # a byte-order mark
+@example(line=" \x0b1")  # whitespace that JSON's is not, before a value
+@example(line="1\u3000")  # and after one
+@example(line="\r\t 1\r")
+@example(line="\x0b\x0c ")  # blank to bytes.isspace, not to JSON
+def test_a_line_reads_as_json_loads_reads_it(line):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "values.jsonl"
+        data = line.encode("utf-8") + b"\n"
+        path.write_bytes(b"0\n" + data)
+        try:
+            expected = json.loads(line)
+        except (ValueError, RecursionError):
+            if data.isspace():
+                assert list(read_json_lines(path)) == [(1, 0)]
+            else:
+                with pytest.raises(ConfigError) as refused:
+                    list(read_json_lines(path))
+                assert str(refused.value) == f"{path}:2 is {_refusal(line)}"
+        else:
+            # By their JSON text, so that NaN equals NaN and 1 differs from 1.0 and from true.
+            assert [(lineno, json.dumps(value)) for lineno, value in read_json_lines(path)] == [(1, "0"), (2, json.dumps(expected))]
+
+
 def test_a_line_error_gives_the_column_within_the_line(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(json.dumps(CORPUS_RECORD).encode("utf-8") + b'\n\n{"id": \n')
