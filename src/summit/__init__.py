@@ -43,7 +43,6 @@ from .types import (
     StopReason,
     Summary,
     SummaryOrigin,
-    Usage,
 )
 
 __all__ = [
@@ -84,7 +83,6 @@ __all__ = [
     "Summary",
     "SummaryOrigin",
     "Triplet",
-    "Usage",
     "aggregate",
     "cache_key",
     "expected_score",

@@ -9,13 +9,13 @@ the common public release shapes onto this format.
 from __future__ import annotations
 
 import enum
-import os
 import random
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import SampleTooLarge, SchemaViolation, read_json_lines, write_json_lines
 from .metrics import tokenize
+from .trace_io import trace_file_name
 
 CORPUS_HEADER = {"schema": "summit/corpus", "version": 1}
 
@@ -78,15 +78,7 @@ def _validate_record(raw: dict, schema: CorpusSchema) -> DatasetRecord:
         topics = []
     if not isinstance(summaries, list) or not isinstance(topics, list):
         raise ValueError("summaries and topics must be JSON arrays of strings")
-    # <id>.jsonl names the trace file: the file system's encoding must encode
-    # it (a lone surrogate other than an escaped byte does not), with no
-    # separator or NUL and in at most 255 bytes (the usual NAME_MAX).
-    try:
-        name = os.fsencode(f"{rec_id}.jsonl")
-    except UnicodeEncodeError:
-        name = None
-    if name is None or rec_id in ("", ".", "..") or "/" in rec_id or "\\" in rec_id or "\0" in rec_id or len(name) > 255:
-        raise ValueError(f"id {rec_id!r} cannot name a trace file")
+    trace_file_name(rec_id)
     if _blank(document):
         raise ValueError("document must be a non-empty string")
     if not summaries or any(map(_blank, summaries)):

@@ -25,8 +25,8 @@ from .knowledge import TripletExtractor, build_extractor
 from .metrics import FaithfulnessScorer, aggregate, rouge_l_multi, rouge_n_multi, topic_similarity
 from .prompting import DEFAULT_SHOTS, PromptRegistry
 from .session import run_session
-from .trace_io import write_trace
-from .types import Document, Exemplar, ServedFrom, SessionConfig, SessionTrace, Setting, Usage
+from .trace_io import trace_file_name, write_trace
+from .types import CompletionResponse, Document, Exemplar, ServedFrom, SessionConfig, SessionTrace, Setting, usage_of
 
 MANIFEST_HEADER = {"schema": "summit/manifest", "version": 1}
 STATS_HEADER = {"schema": "summit/stats", "version": 1}
@@ -366,21 +366,21 @@ def run_experiment(
     traces = manifest.output_dir / "traces"
     traces.mkdir(parents=True, exist_ok=True)
 
-    def process(record: DatasetRecord) -> tuple[Usage, dict | str]:
-        """Run, score and write one document: its usage, and its scores or its error."""
-        usage = Usage()
+    def process(record: DatasetRecord) -> tuple[list[CompletionResponse], dict | str]:
+        """Run, score and write one document: its backend replies, and its scores or its error."""
+        calls: list[CompletionResponse] = []
         topic = _record_topic(record, manifest)
         if manifest.setting is Setting.CONTROL and topic is None:
-            return usage, "ConfigError: record has no topic to control on"
+            return calls, "ConfigError: record has no topic to control on"
         config = manifest.session_for(topic, exemplars)
         doc = Document(id=record.id, text=record.document)
         try:
-            trace = run_session(doc, config, factory(), prompts, extractor, usage=usage)
+            trace = run_session(doc, config, factory(), prompts, extractor, calls=calls)
             # Written before scoring, so a scorer outage keeps the finished session.
-            write_trace(trace, traces / f"{record.id}.jsonl")
-            return usage, _doc_metrics(record, trace, manifest, topic, scorer)
+            write_trace(trace, traces / trace_file_name(record.id))
+            return calls, _doc_metrics(record, trace, manifest, topic, scorer)
         except SummitError as exc:
-            return usage, f"{type(exc).__name__}: {exc}"
+            return calls, f"{type(exc).__name__}: {exc}"
 
     try:
         claim_cache(manifest.backend, cache)
@@ -406,23 +406,21 @@ def run_experiment(
 
 def _write_outputs(manifest, records, outcomes) -> ExperimentResult:
     """stats.json, calls.json and failures.jsonl.
-    Call origins count every document's calls; token totals only those of
-    completed documents."""
+    Call origins count every document's replies; the usage object sums only
+    those of completed documents."""
     outdir = manifest.output_dir
     failures = []
-    counts = {origin.value: 0 for origin in ServedFrom}
-    usage_total = {"prompt_tokens": 0, "completion_tokens": 0, "cache_hits": 0}
+    replies = [call for calls, _ in outcomes for call in calls]
+    counts = {origin.value: sum(call.served_from is origin for call in replies) for origin in ServedFrom}
+    completed_calls: list[CompletionResponse] = []
     per_metric: dict[str, dict[str, list[float]]] = {"init": {}, "final": {}}
     iteration_values: list[float] = []
 
-    for record, (usage, scores) in zip(records, outcomes):
-        for origin, n in usage.calls.items():
-            counts[origin] += n
+    for record, (calls, scores) in zip(records, outcomes):
         if isinstance(scores, str):
             failures.append({"document_id": record.id, "error": scores})
             continue
-        for key in usage_total:
-            usage_total[key] += getattr(usage, key)
+        completed_calls += calls
         iteration_values.append(float(scores["iterations"]))
         for label in ("init", "final"):
             for metric, value in scores[label].items():
@@ -452,7 +450,7 @@ def _write_outputs(manifest, records, outcomes) -> ExperimentResult:
         }
 
     write_json(outdir / "stats.json", stats)
-    calls = {**CALLS_HEADER, "mode": manifest.backend.mode, "calls": counts, "usage": usage_total}
+    calls = {**CALLS_HEADER, "mode": manifest.backend.mode, "calls": counts, "usage": usage_of(completed_calls)}
     write_json(outdir / "calls.json", calls)
     (outdir / "failures.jsonl").unlink(missing_ok=True)  # an earlier run's
     if failures:

@@ -28,6 +28,7 @@ from .prompting import (
     format_exemplars,
 )
 from .types import (
+    CompletionResponse,
     Document,
     EditKind,
     Feedback,
@@ -38,7 +39,6 @@ from .types import (
     Summary,
     SummaryOrigin,
     TraceStep,
-    Usage,
 )
 
 
@@ -82,16 +82,17 @@ def run_session(
     backend: CompletionBackend,
     prompts: PromptRegistry,
     extractor: TripletExtractor | None = None,
-    usage: Usage | None = None,
+    calls: list[CompletionResponse] | None = None,
 ) -> SessionTrace:
     """Run one full refinement session and return its trace.
 
-    Tokens and calls are tallied into ``usage`` when the caller passes one,
-    so they stay readable when the session raises. A ``config`` value out of
-    range is a ConfigError before any call."""
+    Each backend reply is appended to ``calls`` in call order; a list the
+    caller passes stays readable when the session raises. A ``config`` value
+    out of range is a ConfigError before any call."""
     config.check()
-    if usage is None:
-        usage = Usage()
+    if calls is None:
+        calls = []
+    tokens = 0
     base = _base_context(doc, config, extractor)
     steps: list[TraceStep] = []
     instructions = {
@@ -107,6 +108,7 @@ def run_session(
 
     def post(role: PromptRole, stage: Stage, iteration: int, **slots: str) -> str:
         """Make one backend call in ``role``'s history, then stop the session if it crossed the token budget."""
+        nonlocal tokens
         rendered = prompts.render(role, config.setting, stage, {**contexts[role], **slots})
         messages = histories[role]
         if not messages:
@@ -123,12 +125,11 @@ def run_session(
         response = backend.complete(request)
         parents[role] = request
         messages.append(ChatMessage(Role.ASSISTANT, response.text))
-        usage.prompt_tokens += response.prompt_tokens
-        usage.completion_tokens += response.completion_tokens
-        usage.calls[response.served_from.value] += 1
-        if config.token_budget is not None and usage.total_tokens > config.token_budget:
+        calls.append(response)
+        tokens += response.prompt_tokens + response.completion_tokens
+        if config.token_budget is not None and tokens > config.token_budget:
             raise BudgetExceeded(
-                f"token budget of {config.token_budget} exceeded ({usage.total_tokens} tokens used)",
+                f"token budget of {config.token_budget} exceeded ({tokens} tokens used)",
                 partial_trace=list(steps),
             )
         return response.text
@@ -136,7 +137,7 @@ def run_session(
     draft = Summary(post(PromptRole.SUMMARIZER, Stage.SUMMARIZE, 0), 0, SummaryOrigin.INITIAL)
     if not has_tokens(doc.text, config.min_document_tokens):
         steps.append(TraceStep(draft, _synthetic_stop_feedback(config)))
-        return SessionTrace(doc.id, steps, StopReason.EVALUATOR_STOP, usage)
+        return SessionTrace(doc.id, steps, StopReason.EVALUATOR_STOP, calls)
 
     stopped_by = StopReason.MAX_ITERATIONS
     for iteration in range(1, config.max_iterations + 1):
@@ -151,4 +152,4 @@ def run_session(
         origin = SummaryOrigin.UNCHANGED if text == draft.text else SummaryOrigin.REFINED
         draft = Summary(text, iteration, origin)
 
-    return SessionTrace(doc.id, steps, stopped_by, usage)
+    return SessionTrace(doc.id, steps, stopped_by, calls)

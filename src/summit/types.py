@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -70,6 +69,17 @@ def token_counts(usage) -> tuple[int, int]:
     if type(prompt) is not int or type(completion) is not int or prompt < 0 or completion < 0:
         raise ValueError(f"token counts must be integers of 0 or more, not {prompt!r} and {completion!r}")
     return prompt, completion
+
+
+def usage_of(calls) -> dict[str, int]:
+    """The usage object of the replies ``calls``, which a trace and
+    ``calls.json`` write: how many were served from the cache, and their
+    summed completion and prompt tokens."""
+    return {
+        "cache_hits": sum(call.served_from is ServedFrom.CACHE for call in calls),
+        "completion_tokens": sum(call.completion_tokens for call in calls),
+        "prompt_tokens": sum(call.prompt_tokens for call in calls),
+    }
 
 
 class EditOp(NamedTuple):
@@ -152,47 +162,19 @@ class SessionConfig(NamedTuple):
         return self
 
 
-class Usage:
-    """Token and call accounting for a session (mutated while the session
-    runs). ``calls`` counts the backend's responses by where they were
-    served from, keyed by the ``ServedFrom`` value."""
-
-    def __init__(self, prompt_tokens: int = 0, completion_tokens: int = 0, calls: Counter[str] | None = None):
-        self.prompt_tokens = prompt_tokens
-        self.completion_tokens = completion_tokens
-        self.calls = Counter() if calls is None else calls
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
-
-    def __repr__(self) -> str:
-        return (
-            f"Usage(prompt_tokens={self.prompt_tokens!r}, "
-            f"completion_tokens={self.completion_tokens!r}, calls={self.calls!r})"
-        )
-
-    @property
-    def cache_hits(self) -> int:
-        return self.calls["cache"]
-
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
-
-
 class TraceStep(NamedTuple):
     summary: Summary
     feedback: Feedback
 
 
 class SessionTrace(NamedTuple):
-    """The drafts, feedback, stop reason and token usage of one session,
-    which the trace file records (see trace_io)."""
+    """The drafts, feedback and stop reason of one session, and its backend
+    replies in call order, which the trace file records (see trace_io)."""
 
     document_id: str
     steps: list[TraceStep]
     stopped_by: StopReason
-    usage: Usage
+    calls: list[CompletionResponse]
 
     @property
     def final_summary(self) -> Summary:

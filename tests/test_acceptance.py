@@ -83,7 +83,7 @@ def test_criterion_1_offline_loop_invariants(registry):
         assert [s.summary.text for s in again.steps] == [s.summary.text for s in trace.steps], case
         assert [s.feedback.raw for s in again.steps] == [s.feedback.raw for s in trace.steps], case
         assert again.stopped_by is trace.stopped_by, case
-        assert again.usage == trace.usage, case
+        assert again.calls == trace.calls, case
 
 
 @pytest.mark.acceptance(id="C2", title="ROUGE brute-force oracle (500+ sequences)")

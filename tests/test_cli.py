@@ -331,24 +331,20 @@ def test_run_exp_counts_every_call_across_worker_threads(runner, tmp_path):
     assert calls["calls"] == {"live": 0, "cache": 0, "script": n * len(QUALITY_SCRIPT)}
 
 
-def test_run_exp_poison_doc_records_failure(runner, tmp_path):
+def _poisoned_manifest(tmp_path: Path, step: int) -> tuple[Path, str]:
+    """A manifest of 10 records, each document starting with its id, and the
+    id of the one whose session fails at QUALITY_SCRIPT's ``step``: that step
+    matches no prompt naming the id."""
     records = make_corpus_file(tmp_path / "corpus.jsonl", 10)
+    write_corpus([r._replace(document=f"[{r.id}] {r.document}") for r in records], tmp_path / "corpus.jsonl")
     poison_id = records[3].id
-    poisoned = [
-        dict(QUALITY_SCRIPT[0], match=rf"^(?!.*{poison_id}\b).*Please summarize", regex=True),
-        *QUALITY_SCRIPT[1:],
-    ]
-    # Embed the record id in its document so the regex can see it.
-    lines = (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
-    rewritten = []
-    for line in lines:
-        record = json.loads(line)
-        if record.get("id"):
-            record["document"] = f"[{record['id']}] {record['document']}"
-        rewritten.append(json.dumps(record))
-    (tmp_path / "corpus.jsonl").write_text("\n".join(rewritten) + "\n", encoding="utf-8")
+    script = [dict(s) for s in QUALITY_SCRIPT]
+    script[step].update(match=rf"^(?!.*{poison_id}\b).*{script[step]['match']}", regex=True)
+    return make_manifest(tmp_path, n=10, script=script, corpus_records=records), poison_id
 
-    manifest = make_manifest(tmp_path, n=10, script=poisoned, corpus_records=records)
+
+def test_run_exp_poison_doc_records_failure(runner, tmp_path):
+    manifest, poison_id = _poisoned_manifest(tmp_path, 0)
     result = runner.invoke(main, ["run-exp", str(manifest)])
     assert result.exit_code == EXIT_PARTIAL
     out = tmp_path / "out"
@@ -359,6 +355,32 @@ def test_run_exp_poison_doc_records_failure(runner, tmp_path):
     stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
     assert stats["run"]["failures"] == 1
     assert stats["metrics"]["final"]["rouge1"]["count"] == 9
+
+
+def test_calls_json_sums_the_completed_traces_and_counts_every_reply(runner, tmp_path):
+    # The poisoned document fails at its first evaluation, after one call.
+    manifest, poison_id = _poisoned_manifest(tmp_path, 1)
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    written = {}
+    for workers in (1, 3):
+        out = f"out{workers}"
+        backend = {**data["backend"], "cache": f"cache{workers}.jsonl"}
+        path = tmp_path / f"{out}.json"
+        path.write_text(json.dumps({**data, "workers": workers, "output_dir": out, "backend": backend}), encoding="utf-8")
+        assert runner.invoke(main, ["run-exp", str(path)]).exit_code == EXIT_PARTIAL
+        written[workers] = (tmp_path / out / "calls.json").read_bytes()
+    out = tmp_path / "out3"
+    assert [json.loads(l)["document_id"] for l in (out / "failures.jsonl").read_text().splitlines()] == [poison_id]
+    traces = sorted((out / "traces").glob("*.jsonl"))
+    assert len(traces) == 9 and poison_id not in {trace.stem for trace in traces}
+    total = {"cache_hits": 0, "completion_tokens": 0, "prompt_tokens": 0}
+    for trace in traces:
+        for key, count in read_trace(trace)[0].usage.items():
+            total[key] += count
+    calls = json.loads(written[3])
+    assert calls["usage"] == total
+    assert calls["calls"] == {"live": 0, "cache": 0, "script": 9 * len(QUALITY_SCRIPT) + 1}
+    assert written[1] == written[3]
 
 
 def test_run_exp_counts_the_calls_of_documents_that_fail(runner, tmp_path):

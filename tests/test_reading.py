@@ -201,8 +201,31 @@ def test_read_trace_refuses_a_file_without_a_current_header_and_records(tmp_path
         read_trace(_trace(tmp_path, header, *records))
 
 
-def test_read_trace_names_a_record_of_the_wrong_shape(tmp_path):
-    path = _trace(tmp_path, b'{"schema": "summit/trace", "version": 1}\n', TRACE_RECORD, {**TRACE_RECORD, "stopped_by": "tired"})
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"stopped_by": "tired"},
+        {"edit_ops": [{"kind": "add"}]},
+        {"document_id": 5},
+        {"summary_text": ["a"]},
+        {"feedback_raw": None},
+        {"iteration": "x"},
+        {"iteration": -1},
+        {"iteration": True},
+        {"expected_score": "high"},
+        {"expected_score": True},
+        {"expected_score": 0.5},
+        {"expected_score": 6},
+        {"usage": 7},
+        {"usage": {"prompt_tokens": 1, "completion_tokens": 1}},
+        {"usage": {**TRACE_RECORD["usage"], "cache_hits": -1}},
+        {"usage": {**TRACE_RECORD["usage"], "prompt_tokens": 1.0}},
+        {"usage": {**TRACE_RECORD["usage"], "completion_tokens": False}},
+    ],
+    ids=repr,
+)
+def test_read_trace_names_a_record_of_the_wrong_shape(tmp_path, change):
+    path = _trace(tmp_path, b'{"schema": "summit/trace", "version": 1}\n', TRACE_RECORD, {**TRACE_RECORD, **change})
     with pytest.raises(ConfigError, match=f"{path}:3 is not a trace record"):
         read_trace(path)
 

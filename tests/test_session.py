@@ -17,7 +17,7 @@ from helpers import (
     plan_session,
     random_session_plan,
 )
-from summit.backend import CachedBackend, ScriptedBackend, ScriptStep
+from summit.backend import CachedBackend, ReplayBackend, ScriptedBackend, ScriptStep
 from summit.cache import ResponseCache
 from summit.errors import BudgetExceeded, ConfigError, ParseError
 from summit.parsing import parse_feedback
@@ -27,6 +27,7 @@ from summit.types import (
     EditKind,
     EditOp,
     Feedback,
+    ServedFrom,
     SessionConfig,
     Setting,
     StopReason,
@@ -138,7 +139,7 @@ def test_replay_determinism(registry):
     assert [s.summary.text for s in first.steps] == [s.summary.text for s in second.steps]
     assert [s.feedback.raw for s in first.steps] == [s.feedback.raw for s in second.steps]
     assert first.stopped_by is second.stopped_by
-    assert first.usage == second.usage
+    assert first.calls == second.calls
 
 
 def test_degenerate_document_short_circuits(registry):
@@ -279,6 +280,45 @@ def test_token_budget_enforced(registry, crossing_call, steps_kept):
     assert len(err.value.partial_trace) == steps_kept
     stages = ["summarize", "evaluate", "refine", "evaluate"][: crossing_call + 1]
     assert [r.stage for r in recorder.requests] == stages
+
+
+# --- the session's calls ------------------------------------------------------------
+
+
+def test_a_scripted_session_lists_its_replies_in_call_order(registry):
+    plan = plan_session(["ops", "multi", "stop"], max_iterations=5)
+    inner = ScriptedBackend(plan.steps)
+    replies = []
+
+    class Keeping:
+        def complete(self, request):
+            replies.append(inner.complete(request))
+            return replies[-1]
+
+    trace = run_session(DOC, SessionConfig(), Keeping(), registry)
+    assert len(trace.calls) == plan.expected_calls
+    assert trace.calls == replies
+    assert [call.text for call in trace.calls] == [step.response for step in plan.steps[: plan.expected_calls]]
+    assert all(call.served_from is ServedFrom.SCRIPT for call in trace.calls)
+
+
+def test_a_rerun_through_the_cache_it_filled_lists_the_same_replies_from_the_cache(registry):
+    plan = plan_session(["ops", "multi", "stop"], max_iterations=5)
+    cache = ResponseCache()
+    first = run_session(DOC, SessionConfig(), CachedBackend(ScriptedBackend(plan.steps), cache), registry)
+    again = run_session(DOC, SessionConfig(), ReplayBackend(cache), registry)
+    assert [call.served_from for call in first.calls] == [ServedFrom.SCRIPT] * plan.expected_calls
+    assert again.calls == [call._replace(served_from=ServedFrom.CACHE) for call in first.calls]
+
+
+def test_a_passed_list_holds_the_replies_made_before_the_budget_ran_out(registry):
+    plan = plan_session(["ops", "stop"], max_iterations=5)
+    backend = ScriptedBackend(plan.steps)
+    calls = []
+    with pytest.raises(BudgetExceeded):
+        run_session(DOC, SessionConfig(token_budget=1), backend, registry, calls=calls)
+    assert backend.cursor == 1
+    assert [(call.text, call.served_from) for call in calls] == [(plan.steps[0].response, ServedFrom.SCRIPT)]
 
 
 def test_strict_parsing_propagates(registry):

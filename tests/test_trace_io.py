@@ -63,7 +63,7 @@ def test_roundtrip_preserves_step_content(tmp_path, trace):
     assert [r.feedback_raw for r in records] == [s.feedback.raw for s in trace.steps]
     assert all(r.stopped_by is trace.stopped_by for r in records)
     assert records[0].edit_ops[0].kind is EditKind.ADD
-    assert records[0].usage["prompt_tokens"] == trace.usage.prompt_tokens
+    assert records[0].usage["prompt_tokens"] == sum(call.prompt_tokens for call in trace.calls)
 
 
 def test_rejects_foreign_files(tmp_path):
