@@ -296,7 +296,6 @@ def test_a_scripted_session_lists_its_replies_in_call_order(registry):
             return replies[-1]
 
     trace = run_session(DOC, SessionConfig(), Keeping(), registry)
-    assert len(trace.calls) == plan.expected_calls
     assert trace.calls == replies
     assert [call.text for call in trace.calls] == [step.response for step in plan.steps[: plan.expected_calls]]
     assert all(call.served_from is ServedFrom.SCRIPT for call in trace.calls)
