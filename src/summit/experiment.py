@@ -5,6 +5,11 @@ experiment: corpus path, sampling plan, session configuration, backend
 mode, and output directory. Relative paths are resolved against the
 manifest's own directory. Run outputs contain no timestamps, so a replayed
 run is byte-comparable against the original.
+
+A run has one session, ``RunManifest.session``. A control run's document takes
+the pinned ``topic_query``, else its record's ``topics[topic_index]`` (with
+neither, it fails alone), and is scored against its ``topic_index``-th summary
+when the record has topics and that summary, else against every summary.
 """
 
 from __future__ import annotations
@@ -33,15 +38,11 @@ STATS_HEADER = {"schema": "summit/stats", "version": 1}
 CALLS_HEADER = {"schema": "summit/calls", "version": 1}
 
 
-#: The SessionConfig fields a manifest's session section holds, with their
-#: defaults (exemplars come from exemplars_path).
-_SESSION_DEFAULTS = {k: v for k, v in SessionConfig._field_defaults.items() if k != "exemplars"}
-
-
 class RunManifest(NamedTuple):
-    """A run description. ``session_params`` holds SessionConfig keyword
-    arguments for one SessionConfig per document (control runs take the
-    topic from each record unless the manifest pins one). ``KEYS`` names
+    """A run description. ``session_params`` holds the keyword arguments of
+    the run's SessionConfig, ``session``; its exemplars come from
+    ``exemplars_path``, and a control run without a pinned ``topic_query``
+    takes each document's topic from its record. ``KEYS`` names
     each field's place in the manifest JSON; its type and default give the
     rest.
     """
@@ -84,8 +85,8 @@ class RunManifest(NamedTuple):
     def check(self) -> RunManifest:
         """This manifest, unless its sample (ValueError), its backend, its
         worker or shot count, its topic index or its session template
-        (ConfigError) is out of range. A control run's template is checked
-        with a placeholder topic, since each record may give its own."""
+        (ConfigError) is out of range. A template that pins no topic is
+        checked with a placeholder, since a control run's records give their own."""
         self.sample.check()
         self.backend.check()
         if self.workers < 1:
@@ -95,33 +96,15 @@ class RunManifest(NamedTuple):
         if self.topic_index not in (0, 1):  # a record holds at most two topics
             raise ConfigError(f"topic_index must be 0 or 1, not {self.topic_index}")
         try:
-            self.session_for(topic="probe" if self.setting is Setting.CONTROL else None).check()
+            self.session._replace(topic_query=self.session.topic_query or "probe").check()
         except ConfigError as exc:
             raise ConfigError(f"invalid session template: {exc}") from exc
         return self
 
-    def _param(self, name: str):
-        return self.session_params.get(name, SessionConfig._field_defaults[name])
-
     @property
-    def setting(self) -> Setting:
-        return self._param("setting")
-
-    @property
-    def topic_query(self) -> str | None:
-        return self._param("topic_query")
-
-    @property
-    def max_iterations(self) -> int:
-        return self._param("max_iterations")
-
-    def session_for(self, topic: str | None = None, exemplars: list[Exemplar] | None = None) -> SessionConfig:
-        params = dict(self.session_params)
-        if topic is not None and not params.get("topic_query"):
-            params["topic_query"] = topic
-        if exemplars:
-            params["exemplars"] = tuple(exemplars)
-        return SessionConfig(**params)
+    def session(self) -> SessionConfig:
+        """The run's session; each field ``session_params`` leaves out takes its default."""
+        return SessionConfig(**self.session_params)
 
     def resolved(self) -> "RunManifest":
         """This manifest with its backend settings resolved (manifest >
@@ -159,9 +142,8 @@ class RunManifest(NamedTuple):
         for field, place in self.KEYS.items():
             section, _, key = place.rpartition(".")
             if field == "session_params":
-                # Every session key; those the params leave out take their defaults.
-                params = self.session_params
-                session = {name: _encode(params.get(name, default)) for name, default in _SESSION_DEFAULTS.items()}
+                # Every session field but the exemplars, which come from exemplars_path.
+                session = {k: _encode(v) for k, v in self.session._asdict().items() if k != "exemplars"}
                 out.setdefault(key, {}).update(session)
             elif field == "backend":
                 # The model is the session's model_id; the API key is never written.
@@ -216,10 +198,10 @@ def load_exemplars(path: str | Path, shots: int) -> list[Exemplar]:
 
 def estimate_calls(manifest: RunManifest) -> dict:
     """Worst-case live call counts for a run (the --yes gate shows these)."""
-    per_doc = 2 * manifest.max_iterations
+    per_doc = 2 * manifest.session.max_iterations
     return {
         "documents": manifest.sample.n,
-        "max_iterations": manifest.max_iterations,
+        "max_iterations": manifest.session.max_iterations,
         "worst_case_calls_per_document": per_doc,
         "worst_case_total_calls": manifest.sample.n * per_doc,
     }
@@ -264,38 +246,33 @@ def claim_cache(settings: BackendSettings, cache: ResponseCache | None) -> None:
         cache.claim()
 
 
-def _scoring_references(record: DatasetRecord, manifest: RunManifest) -> list[str]:
-    # Control runs score against the topic-paired reference when topics exist.
-    if (
-        manifest.setting is Setting.CONTROL
-        and record.topics
-        and manifest.topic_index < len(record.summaries)
-    ):
-        return [record.summaries[manifest.topic_index]]
-    return list(record.summaries)
-
-
-def _record_topic(record: DatasetRecord, manifest: RunManifest) -> str | None:
-    if manifest.setting is not Setting.CONTROL:
-        return None
-    if manifest.topic_query:
-        return manifest.topic_query
-    if manifest.topic_index < len(record.topics):
-        return record.topics[manifest.topic_index]
-    return None
+def _topic_and_references(
+    record: DatasetRecord, session: SessionConfig, topic_index: int
+) -> tuple[str | None, list[str]]:
+    """The topic a document's session controls on (None outside the control
+    setting) and the references its drafts are scored against (see the
+    module docstring); ConfigError for a control record with no topic."""
+    if session.setting is not Setting.CONTROL:
+        return None, list(record.summaries)
+    topic = session.topic_query or (record.topics[topic_index] if topic_index < len(record.topics) else None)
+    if topic is None:
+        raise ConfigError("record has no topic to control on")
+    if record.topics and topic_index < len(record.summaries):
+        return topic, [record.summaries[topic_index]]
+    return topic, list(record.summaries)
 
 
 def _doc_metrics(
     record: DatasetRecord,
     trace: SessionTrace,
-    manifest: RunManifest,
+    references: list[str],
     topic: str | None,
     scorer: FaithfulnessScorer | None,
 ) -> dict:
     # Each text is tokenized once, through the metrics module so the calls
     # stay countable there (perfbench/tracer.py counts metrics.tokenize), and
     # each reference's n-grams are counted once for both drafts.
-    references = [metrics.tokenize(ref) for ref in _scoring_references(record, manifest)]
+    references = [metrics.tokenize(ref) for ref in references]
     grams = {n: [metrics.ngrams(ref, n) for ref in references] for n in (1, 2)}
     topic_tokens = None if topic is None else metrics.tokenize(topic)
 
@@ -365,22 +342,26 @@ def run_experiment(
     scorer = FaithfulnessScorer(endpoint, max_attempts=manifest.backend.max_attempts) if endpoint else None
     traces = manifest.output_dir / "traces"
     traces.mkdir(parents=True, exist_ok=True)
+    session = manifest.session
+    if exemplars:
+        session = session._replace(exemplars=tuple(exemplars))
 
-    def process(record: DatasetRecord) -> tuple[list[CompletionResponse], dict | str]:
-        """Run, score and write one document: its backend replies, and its scores or its error."""
+    def process(record: DatasetRecord) -> tuple[list[ServedFrom], dict, dict | str]:
+        """Run, score and write one document: where each backend reply was
+        served from, the replies' usage object, and the document's scores or
+        its error. Its session is the run's with its topic filled in."""
         calls: list[CompletionResponse] = []
-        topic = _record_topic(record, manifest)
-        if manifest.setting is Setting.CONTROL and topic is None:
-            return calls, "ConfigError: record has no topic to control on"
-        config = manifest.session_for(topic, exemplars)
-        doc = Document(id=record.id, text=record.document)
         try:
+            topic, references = _topic_and_references(record, session, manifest.topic_index)
+            config = session if topic is None else session._replace(topic_query=topic)
+            doc = Document(id=record.id, text=record.document)
             trace = run_session(doc, config, factory(), prompts, extractor, calls=calls)
             # Written before scoring, so a scorer outage keeps the finished session.
             write_trace(trace, traces / trace_file_name(record.id))
-            return calls, _doc_metrics(record, trace, manifest, topic, scorer)
+            outcome = _doc_metrics(record, trace, references, topic, scorer)
         except SummitError as exc:
-            return calls, f"{type(exc).__name__}: {exc}"
+            outcome = f"{type(exc).__name__}: {exc}"
+        return [call.served_from for call in calls], usage_of(calls), outcome
 
     try:
         claim_cache(manifest.backend, cache)
@@ -410,17 +391,18 @@ def _write_outputs(manifest, records, outcomes) -> ExperimentResult:
     those of completed documents."""
     outdir = manifest.output_dir
     failures = []
-    replies = [call for calls, _ in outcomes for call in calls]
-    counts = {origin.value: sum(call.served_from is origin for call in replies) for origin in ServedFrom}
-    completed_calls: list[CompletionResponse] = []
+    origins = [origin for served, _, _ in outcomes for origin in served]
+    counts = {origin.value: origins.count(origin) for origin in ServedFrom}
+    usage = usage_of(())
     per_metric: dict[str, dict[str, list[float]]] = {"init": {}, "final": {}}
     iteration_values: list[float] = []
 
-    for record, (calls, scores) in zip(records, outcomes):
+    for record, (_, doc_usage, scores) in zip(records, outcomes):
         if isinstance(scores, str):
             failures.append({"document_id": record.id, "error": scores})
             continue
-        completed_calls += calls
+        for name, count in doc_usage.items():
+            usage[name] += count
         iteration_values.append(float(scores["iterations"]))
         for label in ("init", "final"):
             for metric, value in scores[label].items():
@@ -434,7 +416,7 @@ def _write_outputs(manifest, records, outcomes) -> ExperimentResult:
         **STATS_HEADER,
         "run": {
             "name": manifest.name,
-            "setting": manifest.setting.value,
+            "setting": manifest.session.setting.value,
             "sampled": len(records),
             "completed": len(records) - len(failures),
             "failures": len(failures),
@@ -450,7 +432,7 @@ def _write_outputs(manifest, records, outcomes) -> ExperimentResult:
         }
 
     write_json(outdir / "stats.json", stats)
-    calls = {**CALLS_HEADER, "mode": manifest.backend.mode, "calls": counts, "usage": usage_of(completed_calls)}
+    calls = {**CALLS_HEADER, "mode": manifest.backend.mode, "calls": counts, "usage": usage}
     write_json(outdir / "calls.json", calls)
     (outdir / "failures.jsonl").unlink(missing_ok=True)  # an earlier run's
     if failures:

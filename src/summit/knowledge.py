@@ -181,11 +181,11 @@ def _objects(value, key: str) -> list[dict]:
 
 
 class FallbackExtractor:
-    """Route around an unreachable remote extractor with a local one."""
+    """Route around an unreachable remote extractor with the naive one."""
 
-    def __init__(self, primary: TripletExtractor, fallback: TripletExtractor | None = None):
+    def __init__(self, primary: TripletExtractor):
         self.primary = primary
-        self.fallback = fallback or NaiveExtractor()
+        self.fallback = NaiveExtractor()
 
     def extract(self, text: str) -> list[Triplet]:
         try:

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
 import unicodedata
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -18,12 +20,12 @@ from click.testing import CliRunner
 import summit.cli as cli
 import summit.experiment as experiment
 import summit.knowledge as knowledge
-from helpers import QUALITY_SCRIPT, RecordingBackend, make_corpus_file, no_sleep, write_script
+from helpers import QUALITY_SCRIPT, RecordingBackend, lcs_dp_oracle, make_corpus_file, no_sleep, write_script
 from summit.backend import BackendSettings, CompletionResponse, ServedFrom
 from summit.cache import ResponseCache
 from summit.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_PARTIAL, main
 from summit.config import resolve_backend_settings
-from summit.corpus import load_corpus, write_corpus
+from summit.corpus import DatasetRecord, SampleSpec, Split, load_corpus, sample, write_corpus
 from summit.errors import (
     ConfigError,
     DegenerateDistribution,
@@ -653,6 +655,99 @@ def test_run_exp_control_setting_uses_record_topics(runner, tmp_path):
     assert result.exit_code == 0, result.output
     stats = json.loads((tmp_path / "out" / "stats.json").read_text(encoding="utf-8"))
     assert stats["metrics"]["final"]["topic_similarity"]["count"] == 4
+
+
+#: QUALITY_SCRIPT with a refined draft that shares words with the topics and references.
+_CONTROL_SCRIPT = [
+    *QUALITY_SCRIPT[:2],
+    {"match": "Revise the summary", "response": "Refined summary: the harbor council report on topic alpha."},
+    QUALITY_SCRIPT[3],
+]
+
+#: A generic corpus for a control run on topic 1: one record pairs two topics
+#: with two summaries, one has two topics but a single summary, and one no topic.
+_MIXED_TOPIC_RECORDS = [
+    DatasetRecord("paired", DOC_TEXT, ("Harbor council fixes the pier.", "Storms hit the report."), ("harbor", "topic report")),
+    DatasetRecord("none", DOC_TEXT, ("The pier will be repaired.", "Businesses want speed.")),
+    DatasetRecord("unpaired", DOC_TEXT, ("The council report on the harbor.",), ("winter storms", "council topic")),
+]
+
+
+def _tf_cosine(query: str, text: str) -> float:
+    """Cosine of two texts' term-frequency vectors, each over its lowercased
+    runs of ASCII letters and digits."""
+    q, t = (Counter(re.findall(r"[a-z0-9]+", s.lower())) for s in (query, text))
+    if not q or not t:
+        return 0.0
+    dot = sum(count * t[token] for token, count in q.items())
+    return dot / (math.sqrt(sum(c * c for c in q.values())) * math.sqrt(sum(c * c for c in t.values())))
+
+
+def _rouge_l_oracle(candidate: str, references: list[str]) -> float:
+    """The best ROUGE-L F1 of ``candidate`` over ``references``, by the dynamic-program LCS."""
+    tokens = re.findall(r"[a-z0-9]+", candidate.lower())
+    best = 0.0
+    for reference in references:
+        ref = re.findall(r"[a-z0-9]+", reference.lower())
+        lcs = lcs_dp_oracle(tokens, ref)
+        if lcs:
+            precision, recall = lcs / len(tokens), lcs / len(ref)
+            best = max(best, 2 * precision * recall / (precision + recall))
+    return best
+
+
+@pytest.mark.parametrize(
+    ("schema", "topic_index", "topic_query"),
+    [("newts", 0, None), ("newts", 1, "harbor council"), ("generic", 1, None)],
+    ids=["newts-topic-0", "newts-topic-1-pinned-query", "generic-one-record-without-topics"],
+)
+def test_control_runs_score_each_document_on_its_topic_and_reference(runner, tmp_path, schema, topic_index, topic_query):
+    if schema == "newts":
+        records = make_corpus_file(tmp_path / "corpus.jsonl", 5, topics=True)
+    else:
+        records = _MIXED_TOPIC_RECORDS
+        write_corpus(records, tmp_path / "corpus.jsonl")
+    path = make_manifest(
+        tmp_path, n=len(records), script=_CONTROL_SCRIPT, corpus_records=records,
+        setting="control", topic_index=topic_index, topic_query=topic_query,
+    )
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["corpus"]["schema"] = schema
+    path.write_text(json.dumps(data), encoding="utf-8")
+    result = runner.invoke(main, ["run-exp", str(path)])
+
+    out = tmp_path / "out"
+    expected = {"init": {"rougeL": [], "topic_similarity": []}, "final": {"rougeL": [], "topic_similarity": []}}
+    failed = []
+    for record in sample(records, SampleSpec(len(records), 7, Split.TEST)):
+        topic = topic_query or (record.topics[topic_index] if topic_index < len(record.topics) else None)
+        if topic is None:
+            failed.append({"document_id": record.id, "error": "ConfigError: record has no topic to control on"})
+            assert not (out / "traces" / f"{record.id}.jsonl").exists()
+            continue
+        references = list(record.summaries)
+        if record.topics and topic_index < len(references):
+            references = [references[topic_index]]
+        steps = read_trace(out / "traces" / f"{record.id}.jsonl")
+        for label, step in (("init", steps[0]), ("final", steps[-1])):
+            expected[label]["rougeL"].append(_rouge_l_oracle(step.summary_text, references))
+            expected[label]["topic_similarity"].append(_tf_cosine(topic, step.summary_text))
+
+    assert result.exit_code == (EXIT_PARTIAL if failed else 0), result.output
+    assert len(failed) == (schema == "generic")
+    if failed:
+        assert (out / "failures.jsonl").read_text(encoding="utf-8") == "".join(json.dumps(f) + "\n" for f in failed)
+    else:
+        assert not (out / "failures.jsonl").exists()
+    stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
+    assert stats["run"]["completed"] == len(records) - len(failed) > 0
+    assert any(expected["final"]["topic_similarity"])
+    for label, metrics in expected.items():
+        for metric, values in metrics.items():
+            assert stats["metrics"][label][metric]["values"] == pytest.approx(values, rel=1e-12, abs=0), (label, metric)
+    # Each completed document made the script's four calls; the failed one made none.
+    calls = json.loads((out / "calls.json").read_text(encoding="utf-8"))
+    assert calls["calls"] == {"live": 0, "cache": 0, "script": 4 * stats["run"]["completed"]}
 
 
 def test_run_exp_faithfulness_setting_offline(runner, tmp_path):
