@@ -133,10 +133,9 @@ def summarize(
         token_budget=token_budget,
     ).check()
     document = Document(id=doc_id or (Path(doc).stem if doc else "stdin"), text=text)
-    if trace_out:
-        Path(trace_out).parent.mkdir(parents=True, exist_ok=True)  # before any call is paid for
     try:
-        claim_cache(settings, response_cache)
+        # The trace's directory is made before any call is paid for.
+        claim_cache(settings, response_cache, Path(trace_out).parent if trace_out else None)
         trace = run_session(document, config, factory(), prompts, extractor)
     finally:
         if response_cache is not None:

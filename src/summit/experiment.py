@@ -15,7 +15,7 @@ when the record has topics and that summary, else against every summary.
 from __future__ import annotations
 
 import enum
-from itertools import islice
+from itertools import islice, takewhile
 from pathlib import Path
 from typing import Callable, NamedTuple, get_type_hints
 
@@ -238,12 +238,23 @@ def build_parts(
     return prompts, exemplars, factory, extractor, cache
 
 
-def claim_cache(settings: BackendSettings, cache: ResponseCache | None) -> None:
-    """Take the writer lock of a cache the backend will write to, before the
-    first call, so a run never pays for calls it could not cache. Replay
-    only reads its cache and takes no lock."""
-    if cache is not None and settings.mode != "replay":
-        cache.claim()
+def claim_cache(settings: BackendSettings, cache: ResponseCache | None, directory: Path | None = None) -> None:
+    """Make ``directory``, where the command writes, then take the writer
+    lock of a cache the backend will write to, before the first call, so a
+    run never pays for calls it could not cache. A refused claim removes the
+    directories it made, so the refused command leaves nothing behind.
+    Replay only reads its cache and takes no lock."""
+    made = []
+    if directory is not None:
+        made = list(takewhile(lambda path: not path.exists(), (directory, *directory.parents)))
+        directory.mkdir(parents=True, exist_ok=True)  # first, so that a bad directory leaves no cache file
+    try:
+        if cache is not None and settings.mode != "replay":
+            cache.claim()
+    except ConfigError:
+        for path in made:
+            path.rmdir()
+        raise
 
 
 def _topic_and_references(
@@ -341,7 +352,6 @@ def run_experiment(
     endpoint = manifest.faithfulness_endpoint
     scorer = FaithfulnessScorer(endpoint, max_attempts=manifest.backend.max_attempts) if endpoint else None
     traces = manifest.output_dir / "traces"
-    traces.mkdir(parents=True, exist_ok=True)
     session = manifest.session
     if exemplars:
         session = session._replace(exemplars=tuple(exemplars))
@@ -364,7 +374,7 @@ def run_experiment(
         return [call.served_from for call in calls], usage_of(calls), outcome
 
     try:
-        claim_cache(manifest.backend, cache)
+        claim_cache(manifest.backend, cache, traces)
         for stale in traces.glob("*.jsonl"):
             stale.unlink()  # an earlier run's; the traces directory holds this run's alone
         # Written before any session, so an interrupted run can be replayed.

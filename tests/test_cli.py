@@ -488,28 +488,6 @@ def test_a_down_extractor_takes_the_backends_attempts_then_the_naive_fallback(ru
     assert refused == ["http://annotate.example/"] * 3
 
 
-def test_replay_reproduces_stats_with_zero_live_calls(runner, tmp_path):
-    manifest = make_manifest(tmp_path, n=10)
-    assert runner.invoke(main, ["run-exp", str(manifest)]).exit_code == 0
-
-    emitted = tmp_path / "out" / "manifest.json"
-    r1 = runner.invoke(main, ["replay", str(emitted), "--out", str(tmp_path / "r1")])
-    r2 = runner.invoke(main, ["replay", str(emitted), "--out", str(tmp_path / "r2")])
-    assert r1.exit_code == 0, r1.output
-    assert r2.exit_code == 0, r2.output
-
-    stats_original = (tmp_path / "out" / "stats.json").read_bytes()
-    stats_r1 = (tmp_path / "r1" / "stats.json").read_bytes()
-    stats_r2 = (tmp_path / "r2" / "stats.json").read_bytes()
-    assert stats_r1 == stats_r2 == stats_original
-
-    for replay_dir in ("r1", "r2"):
-        calls = json.loads((tmp_path / replay_dir / "calls.json").read_text(encoding="utf-8"))
-        assert calls["calls"]["live"] == 0
-        assert calls["calls"]["script"] == 0
-        assert calls["calls"]["cache"] > 0
-
-
 @_BROKEN_REPLIES
 def test_replay_over_a_malformed_record_fails_that_document_alone(runner, tmp_path, caplog, breakage):
     manifest = make_manifest(tmp_path, n=3)
@@ -550,6 +528,24 @@ def test_a_failure_record_holding_a_lone_surrogate_is_written(runner, tmp_path):
     assert result.exit_code == EXIT_PARTIAL, result.output
     failures = [json.loads(line) for line in (tmp_path / "out" / "failures.jsonl").read_text().splitlines()]
     assert sorted(f["document_id"] for f in failures) == sorted(r.id for r in records)
+
+
+def test_a_down_extractor_without_the_naive_fallback_fails_each_document(runner, tmp_path, monkeypatch):
+    refused = _refuse_every_post(monkeypatch)
+    monkeypatch.setattr(knowledge, "RemoteExtractor", functools.partial(knowledge.RemoteExtractor, sleep=no_sleep))
+    path = make_manifest(tmp_path, n=3, setting="faithfulness")
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["knowledge"] = {"endpoint": "http://annotate.example/", "fallback_to_naive": False}
+    data["backend"]["max_attempts"] = 2
+    path.write_text(json.dumps(data), encoding="utf-8")
+    result = runner.invoke(main, ["run-exp", str(path)])
+    assert result.exit_code == EXIT_PARTIAL, result.output
+    assert refused == ["http://annotate.example/"] * 6  # the backend's attempts, per document
+    out = tmp_path / "out"
+    failures = [json.loads(line) for line in (out / "failures.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert len(failures) == 3
+    assert all(f["error"].startswith("RemoteUnavailable: annotation server unavailable: ") for f in failures)
+    assert list((out / "traces").iterdir()) == []
 
 
 def test_a_lone_surrogate_reaches_a_down_extractor_escaped_and_the_run_falls_back(runner, tmp_path, monkeypatch):
@@ -804,6 +800,7 @@ def test_run_exp_refuses_a_cache_that_another_writer_holds(runner, tmp_path):
         holder.close()
     assert refused.exit_code == EXIT_CONFIG, refused.output
     assert str(tmp_path / "cache.jsonl") in refused.output
+    assert not (tmp_path / "out").exists()  # the refused run leaves no directory behind
     result = runner.invoke(main, ["run-exp", str(manifest)])
     assert result.exit_code == 0, result.output
 
@@ -881,13 +878,14 @@ def test_summarize_on_a_held_cache_is_refused_before_any_call(runner, tmp_path, 
             [
                 "summarize", "--doc", str(write_doc(tmp_path)), "--backend", "scripted",
                 "--script", str(script), "--cache", str(tmp_path / "cache.jsonl"),
-                "--trace-out", str(tmp_path / "trace.jsonl"),
+                "--trace-out", str(tmp_path / "newdir" / "sub" / "trace.jsonl"),
             ],
         )
     finally:
         holder.close()
     assert refused.exit_code == EXIT_CONFIG, refused.output
     assert sessions == []
+    assert not (tmp_path / "newdir").exists()  # the refused command leaves no directory behind
 
 
 def test_a_rerun_into_the_same_directory_leaves_only_its_own_traces(runner, tmp_path):

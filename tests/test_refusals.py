@@ -360,11 +360,17 @@ def test_a_refusal_exits_with_its_code_and_error_line_and_leaves_nothing(row, tm
     assert problems(row, directory, result.exit_code, result.stderr) == []
 
 
+def command_env() -> dict:
+    """The environment, with PYTHONPATH made absolute: commands run in their own directories."""
+    env = dict(os.environ)
+    if env.get("PYTHONPATH"):
+        env["PYTHONPATH"] = os.pathsep.join(map(os.path.abspath, env["PYTHONPATH"].split(os.pathsep)))
+    return env
+
+
 def run_all(command: list[str]) -> int:
     """Run every row as a subprocess of ``command``; 1 if any fails."""
-    env = dict(os.environ)
-    if env.get("PYTHONPATH"):  # the rows run in their own directories
-        env["PYTHONPATH"] = os.pathsep.join(map(os.path.abspath, env["PYTHONPATH"].split(os.pathsep)))
+    env = command_env()
     failed = 0
     for row in ROWS:
         with tempfile.TemporaryDirectory() as temp:
